@@ -142,49 +142,6 @@ impl VersionCosts {
         }
     }
 
-    /// Analytic model of the **parallel** blocked V5 configuration at a
-    /// given worker count — the planning counterpart of the run-aware
-    /// scheduler, validated against `epi3 bench`'s measured `scaling`
-    /// block. See [`V5ParallelModel`] for the derivation of each field.
-    pub fn v5_parallel(
-        nb: usize,
-        workers: usize,
-        l2: Option<devices::SharedCache>,
-        l3: Option<devices::SharedCache>,
-    ) -> V5ParallelModel {
-        assert!(nb >= 1 && workers >= 1);
-        let total = crate::combin::num_block_triples(nb) as usize;
-        let tasks = total as f64;
-        // Claim plan of the run-aware scheduler: one claim per (b0, b1)
-        // run (length nb - b1), tail-split at the shared balance cap —
-        // the same arithmetic pool::plan_claims executes.
-        let cap = crate::pool::balance_cap(total, workers) as f64;
-        let mut claims = 0.0f64;
-        for b0 in 0..nb {
-            for b1 in b0..nb {
-                claims += ((nb - b1) as f64 / cap).ceil();
-            }
-        }
-        // Run-aware: a per-worker LRU-of-one block-pair cache misses at
-        // most once per claim (each claim is one contiguous same-pair
-        // span, up to splits).
-        let hit_rate_run_aware = 1.0 - claims / tasks;
-        // Chunk-1: a worker's successive tasks are ~W apart in the rank
-        // order, so its cache hits only when no run boundary falls in
-        // those W steps; boundary density is runs/tasks.
-        let runs = crate::combin::n_choose_k(nb as u64 + 1, 2) as f64;
-        let hit_rate_chunk1 = (1.0 - workers as f64 * runs / tasks).max(0.0);
-        V5ParallelModel {
-            workers,
-            per_worker_budget: crate::block::BlockParams::budget_from_caches_for_workers(
-                l2, l3, workers,
-            ),
-            mean_claim_run_len: tasks / claims,
-            hit_rate_run_aware,
-            hit_rate_chunk1,
-        }
-    }
-
     /// Arithmetic intensity in intops/byte — the CARM x-axis.
     pub fn arithmetic_intensity(&self) -> f64 {
         self.ops_per_word / self.bytes_per_word
@@ -214,34 +171,6 @@ impl VersionCosts {
     pub fn gintops(&self, elements_per_sec: f64) -> f64 {
         elements_per_sec * self.ops_per_element() / 1e9
     }
-}
-
-/// What the analytic parallel model predicts for a blocked V5 scan over
-/// `nb` SNP blocks at a given worker count:
-///
-/// * `per_worker_budget` — the concurrency-honest cross-pair cache
-///   budget ([`crate::block::BlockParams::budget_from_caches_for_workers`]):
-///   each worker's L2 slice plus its share of the L3 domain it actually
-///   occupies, halved, floored at the fixed 4 MiB;
-/// * `mean_claim_run_len` — expected tasks per run-aware claim (whole
-///   `(b0, b1)` runs, tail-split at the `⌈tasks / 2W⌉` balance cap);
-/// * `hit_rate_run_aware` / `hit_rate_chunk1` — predicted pool-wide
-///   block-pair cache hit rates of the two schedulers. Run-aware misses
-///   once per claim whatever the worker count; chunk-1 decays roughly
-///   linearly in `W` because consecutive tasks of a run land on
-///   different workers.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct V5ParallelModel {
-    /// Worker count the model was evaluated at.
-    pub workers: usize,
-    /// Concurrency-honest cross-pair budget in bytes (≥ the 4 MiB floor).
-    pub per_worker_budget: usize,
-    /// Expected tasks per run-aware claim.
-    pub mean_claim_run_len: f64,
-    /// Predicted pool-wide hit rate under run-aware claiming.
-    pub hit_rate_run_aware: f64,
-    /// Predicted pool-wide hit rate under chunk-1 claiming.
-    pub hit_rate_chunk1: f64,
 }
 
 #[cfg(test)]
@@ -332,52 +261,6 @@ mod tests {
         let disabled = VersionCosts::v5_blocked(&p, huge_ds, CROSS_PAIR_CACHE_BUDGET, 13);
         assert!(enabled.popcnt_per_word < disabled.popcnt_per_word);
         assert!((disabled.popcnt_per_word - (18.0 + 9.0 / 5.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_model_locality_and_budget_trends() {
-        use devices::{CacheGeometry, SharedCache};
-        let l2 = Some(SharedCache {
-            geom: CacheGeometry::kib(2048, 16),
-            shared_cpus: 1,
-        });
-        let l3 = Some(SharedCache {
-            geom: CacheGeometry::kib(96 * 1024, 16),
-            shared_cpus: 8,
-        });
-        // 13 blocks = the 64-SNP default panel at B_S = 5.
-        let at = |w| VersionCosts::v5_parallel(13, w, l2, l3);
-
-        // single worker, no splits: hit rate = 1 - runs/tasks = 80%
-        let m1 = at(1);
-        assert!((m1.hit_rate_run_aware - (1.0 - 91.0 / 455.0)).abs() < 1e-12);
-        assert!((m1.mean_claim_run_len - 455.0 / 91.0).abs() < 1e-12);
-        // sequentially both schedulers are the same traversal
-        assert!((m1.hit_rate_chunk1 - m1.hit_rate_run_aware).abs() < 1e-12);
-
-        let mut prev_chunk1 = f64::INFINITY;
-        let mut prev_budget = usize::MAX;
-        for w in [1usize, 2, 4, 8, 16] {
-            let m = at(w);
-            // run-aware locality survives parallelism: within a split's
-            // worth of the sequential rate at every worker count
-            assert!(
-                m.hit_rate_run_aware >= 0.9 * m1.hit_rate_run_aware,
-                "w={w}: {m:?}"
-            );
-            // chunk-1 decays monotonically and is never better
-            assert!(m.hit_rate_chunk1 <= prev_chunk1 + 1e-12);
-            assert!(m.hit_rate_chunk1 <= m.hit_rate_run_aware + 1e-12);
-            prev_chunk1 = m.hit_rate_chunk1;
-            // the budget shrinks with contention but never to zero
-            assert!(m.per_worker_budget <= prev_budget);
-            assert!(m.per_worker_budget >= crate::block::CROSS_PAIR_CACHE_BUDGET);
-            prev_budget = m.per_worker_budget;
-        }
-        // at 4 workers the chunk-1 cache has all but collapsed
-        assert!(at(4).hit_rate_chunk1 < 0.25);
-        // and matches the budget arithmetic of the block module
-        assert_eq!(at(4).per_worker_budget, 13 << 20);
     }
 
     #[test]

@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// any explicit request is clamped to the host's available parallelism —
 /// a CPU-bound scan gains nothing from oversubscription, and silently
 /// spawning 512 workers on an 8-core box only costs memory and context
-/// switches. (The scheduler *benchmark* deliberately bypasses this via
-/// [`run_claims`]' exact worker count to measure claiming locality under
-/// contention.)
+/// switches. (The thread-invariance tests deliberately bypass this via
+/// [`run_claims`]' exact worker count, so workers interleave for real on
+/// small hosts.)
 pub fn resolve_threads(requested: usize) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -49,9 +49,8 @@ pub type Claim = (usize, usize);
 
 /// The balance cap of run-aware claiming: the largest claim (in tasks)
 /// a plan over `total` tasks and `workers` workers may hand out — half a
-/// worker's fair share. Shared by [`plan_claims`], the epi-server
-/// engine's shard batching, and the analytic parallel model, so the
-/// three stay in lockstep by construction.
+/// worker's fair share. Shared by [`plan_claims`] and the epi-server
+/// engine's shard batching, so the two stay in lockstep by construction.
 pub fn balance_cap(total: usize, workers: usize) -> usize {
     total.div_ceil(2 * workers.max(1)).max(1)
 }
@@ -92,7 +91,7 @@ pub fn plan_claims(run_lens: &[usize], workers: usize) -> Vec<Claim> {
 /// claim's tasks in order, keeping per-worker state across claims.
 ///
 /// The worker count is honored exactly — no host clamping — because this
-/// is the primitive the scheduler-locality benchmark oversubscribes on
+/// is the primitive the thread-invariance tests oversubscribe on
 /// purpose; callers that accept user input resolve through
 /// [`resolve_threads`] first.
 pub fn run_claims<S, MS, T>(claims: &[Claim], workers: usize, make_state: MS, task: T) -> Vec<S>
@@ -102,20 +101,6 @@ where
     T: Fn(usize, &mut S) + Sync,
 {
     run_claim_fn(claims.len(), &|c| claims[c], workers, make_state, task)
-}
-
-/// [`run_claims`] over the chunk-1 plan (every task its own claim),
-/// generated lazily — the baseline the run-aware planner is measured
-/// against, and the degenerate plan for task sequences with no run
-/// structure. Allocation-free, so the baseline scales to panels whose
-/// task count would make a materialized claim vector prohibitive.
-pub fn run_unit_claims<S, MS, T>(n_tasks: usize, workers: usize, make_state: MS, task: T) -> Vec<S>
-where
-    S: Send,
-    MS: Fn() -> S + Sync,
-    T: Fn(usize, &mut S) + Sync,
-{
-    run_claim_fn(n_tasks, &|i| (i, i + 1), workers, make_state, task)
 }
 
 /// The shared self-scheduling driver: `n_claims` claims produced on

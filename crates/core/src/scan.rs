@@ -76,11 +76,6 @@ pub enum Scheduler {
     /// parallelism. The paper's dynamic scheme, made locality-aware.
     #[default]
     Pool,
-    /// The pre-locality dynamic pool: every task claimed individually
-    /// (`chunk = 1`), maximally balanced and maximally cache-hostile —
-    /// kept as the measured baseline the run-aware scheduler is judged
-    /// against (`epi3 bench`'s `scaling` block runs both).
-    PoolChunk1,
     /// Rayon work stealing.
     Rayon,
     /// Static even split (ablation: shows why dynamic wins).
@@ -269,8 +264,7 @@ pub fn scan_split(ds: &SplitDataset, cfg: &ScanConfig) -> ScanResult {
 
 /// [`scan_split`] that also returns the aggregated per-worker V5
 /// cross-pair cache statistics (`None` for V2–V4, which carry no
-/// cross-task cache) — what the CI hit-rate gate and the scaling
-/// benchmark judge the whole pool by.
+/// cross-task cache).
 pub fn scan_split_stats(
     ds: &SplitDataset,
     cfg: &ScanConfig,
@@ -279,15 +273,15 @@ pub fn scan_split_stats(
 }
 
 /// [`scan_split_stats`] at an **exact** worker count, bypassing the
-/// [`pool::resolve_threads`] host clamp: the scheduler-locality benchmark
-/// deliberately oversubscribes small hosts to measure how claiming
-/// behaves under contention. Results are bit-identical at any worker
-/// count; only throughput and cache statistics move.
+/// [`pool::resolve_threads`] host clamp, so the thread-invariance tests
+/// interleave more than one worker for real even on a one-core host.
+/// Results are bit-identical at any worker count; only throughput and
+/// cache statistics move.
 ///
-/// The exact count applies to the pool schedulers ([`Scheduler::Pool`]
-/// and [`Scheduler::PoolChunk1`]) — the ones the benchmark measures.
-/// [`Scheduler::Rayon`] and [`Scheduler::Static`] keep their own task
-/// distribution and resolve `cfg.threads` through the host clamp.
+/// The exact count applies to the blocked kernels (V3–V5) under
+/// [`Scheduler::Pool`]. V2's leading-index tasks, [`Scheduler::Rayon`]
+/// and [`Scheduler::Static`] keep their own task distribution and
+/// resolve `cfg.threads` through the host clamp.
 pub fn scan_split_with_workers(
     ds: &SplitDataset,
     cfg: &ScanConfig,
@@ -318,16 +312,7 @@ fn scan_split_inner(
                     top.push(scorer.score(&table), t);
                 }
             };
-            let make = || TopK::new(cfg.top_k);
-            let states = match (workers, cfg.scheduler) {
-                // honor an explicit worker count on the pool schedulers
-                // (leading-index tasks have no run structure, so both
-                // pool modes claim task-by-task)
-                (Some(w), Scheduler::Pool | Scheduler::PoolChunk1) => {
-                    pool::run_unit_claims(m, w, make, task)
-                }
-                _ => run_tasks(m, cfg, make, task),
-            };
+            let states = run_tasks(m, cfg, || TopK::new(cfg.top_k), task);
             (finish(states, m, n, start, cfg), None)
         }
         _ => {
@@ -414,9 +399,8 @@ fn block_pair_run_lens(tasks: &[(usize, usize, usize)]) -> Vec<usize> {
 ///
 /// Under [`Scheduler::Pool`] workers claim whole `(b0, b1)` runs
 /// ([`pool::plan_claims`]), which is what keeps each worker's V5
-/// block-pair cache hot across the `b2` sweep; [`Scheduler::PoolChunk1`]
-/// claims task-by-task (the pre-locality baseline). Rayon and Static
-/// keep their original task distribution.
+/// block-pair cache hot across the `b2` sweep. Rayon and Static keep
+/// their original task distribution.
 fn drive_blocked<S, MS, K>(
     scanner: &BlockedScanner<'_>,
     tasks: &[(usize, usize, usize)],
@@ -443,7 +427,6 @@ where
             let claims = pool::plan_claims(&block_pair_run_lens(tasks), workers);
             pool::run_claims(&claims, workers, make, task)
         }
-        Scheduler::PoolChunk1 => pool::run_unit_claims(tasks.len(), workers, make, task),
         Scheduler::Rayon | Scheduler::Static => run_tasks(tasks.len(), cfg, make, task),
     }
 }
@@ -464,11 +447,9 @@ where
     T: Fn(usize, &mut S) + Sync + Send,
 {
     match cfg.scheduler {
-        // without run structure (leading-index tasks) both pool modes
-        // degenerate to per-task claiming
-        Scheduler::Pool | Scheduler::PoolChunk1 => {
-            pool::run_dynamic(n_tasks, cfg.threads, 1, make, task)
-        }
+        // without run structure (leading-index tasks) the pool claims
+        // task by task
+        Scheduler::Pool => pool::run_dynamic(n_tasks, cfg.threads, 1, make, task),
         Scheduler::Static => pool::run_static(n_tasks, cfg.threads, make, task),
         Scheduler::Rayon => {
             use rayon::prelude::*;
@@ -558,12 +539,7 @@ mod tests {
         let (g, p) = dataset(12, 100, 7);
         for version in [Version::V4, Version::V5] {
             let mut reference: Option<Vec<Candidate>> = None;
-            for sched in [
-                Scheduler::Pool,
-                Scheduler::PoolChunk1,
-                Scheduler::Rayon,
-                Scheduler::Static,
-            ] {
+            for sched in [Scheduler::Pool, Scheduler::Rayon, Scheduler::Static] {
                 let mut cfg = ScanConfig::new(version);
                 cfg.scheduler = sched;
                 cfg.top_k = 5;
@@ -581,8 +557,7 @@ mod tests {
     fn run_aware_scheduler_keeps_the_cross_pair_cache_hot() {
         // The whole point of run-aware claiming: at any worker count the
         // pool-wide V5 cross-pair hit rate stays at the sequential level
-        // (misses bounded by the claim count), while chunk-1 claiming
-        // may scatter a (b0, b1) run over every worker.
+        // (misses bounded by the claim count).
         let (g, p) = dataset(14, 120, 31);
         let ds = SplitDataset::encode(&g, &p);
         let mut cfg = ScanConfig::new(Version::V5);
@@ -606,18 +581,6 @@ mod tests {
                 "workers={workers}: {stats:?} vs sequential {ref_stats:?}"
             );
         }
-
-        // the chunk-1 baseline at the same worker count does strictly
-        // worse on misses (that's why it's the baseline)
-        cfg.scheduler = Scheduler::PoolChunk1;
-        let (res, chunk1) = scan_split_with_workers(&ds, &cfg, 3);
-        assert_eq!(res.top, ref_res.top);
-        let chunk1 = chunk1.unwrap();
-        assert_eq!(chunk1.hits() + chunk1.misses(), total);
-        assert!(
-            chunk1.misses() >= ref_stats.misses(),
-            "{chunk1:?} vs {ref_stats:?}"
-        );
     }
 
     #[test]

@@ -437,9 +437,9 @@ pub fn scan_sharded_stats(
     scan_sharded_inner(genotypes, phenotype, cfg, s, None)
 }
 
-/// [`scan_sharded_stats`] at an **exact** worker count (no host clamp):
-/// the scheduler-locality benchmark oversubscribes deliberately. Results
-/// are bit-identical at any worker count.
+/// [`scan_sharded_stats`] at an **exact** worker count (no host clamp),
+/// so callers can oversubscribe a small host deliberately. Results are
+/// bit-identical at any worker count.
 pub fn scan_sharded_with_workers(
     genotypes: &GenotypeMatrix,
     phenotype: &Phenotype,
@@ -459,7 +459,6 @@ fn scan_sharded_inner(
 ) -> (crate::scan::ScanResult, crate::pool::PoolCacheStats) {
     use crate::combin;
     use crate::pool;
-    use crate::scan::Scheduler;
     use std::time::Instant;
 
     let m = genotypes.num_snps();
@@ -499,9 +498,8 @@ fn scan_sharded_inner(
     // worker's PairPrefixCache misses once per (a, b) prefix run inside
     // the span instead of once per prefix per shard. All shards form one
     // "run"; plan_claims tail-splits it into per-worker contiguous
-    // chunks. The chunk-1 baseline claims shard-by-shard, scattering
-    // consecutive shards (and their shared boundary prefixes) across the
-    // pool.
+    // chunks. The sharded path runs on the pool whatever `cfg.scheduler`
+    // says.
     let make = || {
         (
             TopK::new(cfg.top_k),
@@ -512,10 +510,7 @@ fn scan_sharded_inner(
         top.merge(scan_one(plan.range(i as u64), cache));
     };
     let start = Instant::now();
-    let states = match cfg.scheduler {
-        Scheduler::Pool => pool::run_claims(&pool::plan_claims(&[n_shards], w), w, make, task),
-        _ => pool::run_unit_claims(n_shards, w, make, task),
-    };
+    let states = pool::run_claims(&pool::plan_claims(&[n_shards], w), w, make, task);
     let elapsed = start.elapsed();
     let mut merged = TopK::new(cfg.top_k);
     let mut stats = crate::pool::PoolCacheStats::default();
@@ -877,7 +872,6 @@ mod tests {
 
     #[test]
     fn sharded_stats_aggregate_the_whole_pool_and_runs_stay_warm() {
-        use crate::scan::Scheduler;
         let (g, p) = dataset(16, 100, 99);
         let mut cfg = ScanConfig::new(Version::V5);
         cfg.top_k = 4;
@@ -907,12 +901,6 @@ mod tests {
             );
             assert!(stats.min_hit_rate() <= stats.max_hit_rate());
         }
-
-        // the chunk-1 baseline can only do worse on misses
-        cfg.scheduler = Scheduler::PoolChunk1;
-        let (res, chunk1) = scan_sharded_with_workers(&g, &p, &cfg, 24, 3);
-        assert_eq!(res.top, res1.top);
-        assert!(chunk1.misses() >= stats1.misses(), "{chunk1:?}");
 
         // V1 has no pair cache: zero stats, result still right
         let cfg1 = ScanConfig::new(Version::V1);

@@ -445,29 +445,25 @@ proptest! {
 
     /// PR 5: thread-count and scheduler invariance of the blocked V5
     /// path with the cross-pair cache enabled — the property-based twin
-    /// of `pairs::pair_scan_is_thread_invariant`, over random datasets,
-    /// worker counts, and both pool schedulers.
+    /// of `pairs::pair_scan_is_thread_invariant`, over random datasets
+    /// and worker counts.
     #[test]
     fn blocked_v5_scan_is_thread_invariant(
         (g, p) in labelled_strategy(),
         workers in prop::sample::select(vec![2usize, 3, 7]),
-        chunk1 in prop::sample::select(vec![false, true]),
     ) {
-        use epi_core::scan::{scan_split_with_workers, ScanConfig, Scheduler, Version};
+        use epi_core::scan::{scan_split_with_workers, ScanConfig, Version};
         let ds = SplitDataset::encode(&g, &p);
         let mut cfg = ScanConfig::new(Version::V5);
         cfg.top_k = 5;
         let (want, _) = scan_split_with_workers(&ds, &cfg, 1);
-        if chunk1 {
-            cfg.scheduler = Scheduler::PoolChunk1;
-        }
         let (got, stats) = scan_split_with_workers(&ds, &cfg, workers);
         prop_assert_eq!(got.top.len(), want.top.len());
         for (a, b) in got.top.iter().zip(&want.top) {
-            prop_assert_eq!(a.triple, b.triple, "workers={} chunk1={}", workers, chunk1);
+            prop_assert_eq!(a.triple, b.triple, "workers={}", workers);
             prop_assert_eq!(
                 a.score.to_bits(), b.score.to_bits(),
-                "workers={} chunk1={}: scores must be bit-identical", workers, chunk1
+                "workers={}: scores must be bit-identical", workers
             );
         }
         // V5 always reports pool stats, and every worker state is counted

@@ -60,15 +60,6 @@ pub enum ChaosSchedule {
     Seeded(u64),
 }
 
-/// SplitMix64: tiny, seedable, and good enough to decorrelate
-/// consecutive connection indices.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ChaosSchedule {
     /// The fault connection `index` draws.
     pub fn fault_for(&self, index: u64) -> Fault {
@@ -77,7 +68,7 @@ impl ChaosSchedule {
                 faults.get(index as usize).copied().unwrap_or(Fault::None)
             }
             ChaosSchedule::Seeded(seed) => {
-                let r = splitmix64(seed.wrapping_mul(0x9E37_79B1).wrapping_add(index));
+                let r = epi_server::spool::seeded_roll(*seed, index);
                 if index != 0 && !r.is_multiple_of(4) {
                     return Fault::None;
                 }

@@ -11,17 +11,20 @@
 //! rescanned, still-running sub-jobs are adopted by job id, and only
 //! the genuinely unfinished remainder is resubmitted.
 //!
-//! The spool is written tmp → rotate last-good to `.prev` → rename, so
-//! a coordinator killed *mid-write* leaves either a complete new
-//! checkpoint or the complete previous one — loading falls back to
-//! `.prev` when the primary is torn — and a trailing `end` sentinel
-//! makes truncation detectable rather than silently loading a prefix.
+//! The spool is written through `epi_server::spool`'s rotation (tmp →
+//! rotate last-good to `.prev` → rename) over a [`SpoolFs`], so a
+//! coordinator killed *mid-write* — or a disk that fails one — leaves
+//! either a complete new checkpoint or the complete previous one;
+//! loading falls back to `.prev` when the primary is torn, and a
+//! trailing `end` sentinel makes truncation detectable rather than
+//! silently loading a prefix.
 
 use epi_core::result::Candidate;
 use epi_core::shard::ShardSet;
+use epi_server::spool::{self, SpoolFs};
 use epi_server::JobSpec;
 use std::io::{BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &str = "epi3fedckpt v1";
 
@@ -192,59 +195,25 @@ impl FederationCheckpoint {
         })
     }
 
-    /// Spool to `path` torn-write-safely: write `<path>.tmp`, rotate the
-    /// previous checkpoint (if any) to `<path>.prev`, then rename the
-    /// tmp into place. At every instant the disk holds at least one
-    /// complete checkpoint.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create spool dir {}: {e}", dir.display()))?;
-            }
+    /// Spool to `path` through [`spool::write_rotated`] (tmp → `.prev`
+    /// → rename), the rotation the server's job checkpoints use: at
+    /// every instant the disk holds at least one complete checkpoint.
+    pub fn save(&self, fs: &dyn SpoolFs, path: &Path) -> Result<(), String> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs.create_dir_all(dir)
+                .map_err(|e| format!("create spool dir {}: {e}", dir.display()))?;
         }
-        let tmp = tmp_path(path);
-        let write = || -> std::io::Result<()> {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.write_to(&mut f)?;
-            f.flush()
-        };
-        write().map_err(|e| format!("write spool {}: {e}", tmp.display()))?;
-        if path.exists() {
-            std::fs::rename(path, prev_path(path))
-                .map_err(|e| format!("rotate spool {}: {e}", path.display()))?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| format!("commit spool {}: {e}", path.display()))
+        let mut buf = Vec::new();
+        self.write_to(&mut buf)
+            .and_then(|()| spool::write_rotated(fs, path, &buf))
+            .map_err(|e| format!("write spool {}: {e}", path.display()))
     }
 
     /// Load from `path`, falling back to `<path>.prev` when the primary
     /// is missing or torn (a crash mid-write leaves exactly that shape).
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let read = |p: &Path| -> Result<Self, String> {
-            let f =
-                std::fs::File::open(p).map_err(|e| format!("open spool {}: {e}", p.display()))?;
-            Self::read_from(std::io::BufReader::new(f))
-        };
-        match read(path) {
-            Ok(ck) => Ok(ck),
-            Err(primary_err) => match read(&prev_path(path)) {
-                Ok(ck) => Ok(ck),
-                Err(_) => Err(primary_err),
-            },
-        }
+    pub fn load(fs: &dyn SpoolFs, path: &Path) -> Result<Self, String> {
+        spool::read_rotated(fs, path, |bytes| Self::read_from(bytes))
     }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".tmp");
-    PathBuf::from(p)
-}
-
-fn prev_path(path: &Path) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".prev");
-    PathBuf::from(p)
 }
 
 #[cfg(test)]
@@ -376,19 +345,23 @@ mod tests {
 
     #[test]
     fn save_rotates_and_load_falls_back_to_last_good_checkpoint() {
+        use epi_server::{FaultySpoolFs, RealSpoolFs, SpoolFault, SpoolSchedule};
+        use std::sync::Arc;
+
         let dir = std::env::temp_dir().join(format!("epi_fedckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("federation.ckpt");
+        let fs = &RealSpoolFs;
 
         let mut first = sample();
         first.merged = ShardSet::from_indices([0, 1]);
-        first.save(&path).unwrap();
-        assert_bit_identical(&FederationCheckpoint::load(&path).unwrap(), &first);
+        first.save(fs, &path).unwrap();
+        assert_bit_identical(&FederationCheckpoint::load(fs, &path).unwrap(), &first);
 
         let mut second = sample();
         second.merged = ShardSet::from_indices([0, 1, 2, 3]);
-        second.save(&path).unwrap();
-        assert_bit_identical(&FederationCheckpoint::load(&path).unwrap(), &second);
+        second.save(fs, &path).unwrap();
+        assert_bit_identical(&FederationCheckpoint::load(fs, &path).unwrap(), &second);
 
         // simulate a crash mid-write of a third checkpoint: the primary
         // is torn, the rotated .prev still holds the last good state
@@ -396,13 +369,46 @@ mod tests {
         second.write_to(&mut torn).unwrap();
         let torn = &torn[..torn.len() - 7]; // lose the end sentinel
         std::fs::write(&path, torn).unwrap();
-        let recovered = FederationCheckpoint::load(&path).unwrap();
+        let recovered = FederationCheckpoint::load(fs, &path).unwrap();
         assert_bit_identical(&recovered, &first); // .prev = the first save
 
         // with both torn, the error reports the primary's problem
-        std::fs::write(prev_path(&path), b"garbage\n").unwrap();
-        let err = FederationCheckpoint::load(&path).unwrap_err();
+        std::fs::write(dir.join("federation.ckpt.prev"), b"garbage\n").unwrap();
+        let err = FederationCheckpoint::load(fs, &path).unwrap_err();
         assert!(err.contains("truncated"), "unhelpful error: {err}");
+
+        // injected disk faults: a save is three mutating ops (write tmp,
+        // rotate primary to .prev, rename tmp into place). Two clean
+        // saves, then the third save meets one fault; whichever op it
+        // hits, load still returns the last good checkpoint.
+        let mut third = sample();
+        third.merged = ShardSet::from_range(0..6);
+        for (op, fault, save_reports_ok) in [
+            (6, SpoolFault::Enospc, false), // tmp never written
+            (7, SpoolFault::Eio, false),    // rotation failed, primary intact
+            (8, SpoolFault::Eio, false),    // primary rotated away, tmp stranded
+            (6, SpoolFault::Torn, true),    // half a tmp renamed into place
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut script = vec![None; op];
+            script.push(Some(fault));
+            let faulty = FaultySpoolFs::new(Arc::new(RealSpoolFs), SpoolSchedule::Scripted(script));
+            first.save(&faulty, &path).unwrap();
+            second.save(&faulty, &path).unwrap();
+            let saved = third.save(&faulty, &path);
+            assert_eq!(
+                saved.is_ok(),
+                save_reports_ok,
+                "op {op} {fault:?}: {saved:?}"
+            );
+            assert_eq!(faulty.faults_injected(), 1, "op {op} {fault:?}");
+            let recovered = FederationCheckpoint::load(&faulty, &path).unwrap();
+            assert_bit_identical(&recovered, &second);
+            // and the spool is not wedged: the next clean save lands
+            third.save(&faulty, &path).unwrap();
+            let reloaded = FederationCheckpoint::load(&faulty, &path).unwrap();
+            assert_bit_identical(&reloaded, &third);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

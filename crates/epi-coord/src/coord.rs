@@ -20,7 +20,7 @@ use crate::checkpoint::{CheckpointAssignment, FederationCheckpoint};
 use crate::node::{is_transport_error, NodeHandle};
 use epi_core::result::{Candidate, TopK};
 use epi_core::shard::ShardSet;
-use epi_server::{JobSpec, JobState};
+use epi_server::{JobSpec, JobState, RealSpoolFs};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -156,20 +156,24 @@ pub fn partition(num_shards: u64, n: usize) -> Vec<ShardSet> {
     ShardSet::from_range(0..num_shards).split_chunks(n)
 }
 
-/// Derive the idempotent `job_token=` the coordinator pins into a
-/// sub-job: FNV-1a over the shard set's compact encoding and the
-/// submission sequence, prefixed by the caller's own token when the
+/// Derive the idempotent `job_token=` the coordinator pins into the
+/// sub-job `sub` (its `shard_set` assigned, its `job_token` still the
+/// caller's, if any): FNV-1a over the sub-job's whole spec — path,
+/// version, top-K, objective, shard set, pinned `dataset_hash=` — and
+/// the submission sequence, prefixed by the caller's own token when the
 /// federated spec carries one. Deterministic per submission (so the
-/// client's over-capacity retry loop resends it verbatim) yet unique
+/// client's over-capacity retry loop resends it verbatim), unique
 /// across submissions (so a re-owned shard set admits a *new* job
-/// instead of being echoed the cancelled one's status).
-fn derive_job_token(base: Option<&str>, shards: &ShardSet, seq: u64) -> String {
+/// instead of being echoed the cancelled one's status), and different
+/// for a different scan (so a second federation with the same shard
+/// plan on a live fleet is never echoed the first one's jobs).
+fn derive_job_token(sub: &JobSpec, seq: u64) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in shards.to_compact().bytes().chain(seq.to_le_bytes()) {
+    for b in sub.to_tokens().bytes().chain(seq.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
-    format!("{}-{h:016x}", base.unwrap_or("fed"))
+    format!("{}-{h:016x}", sub.job_token.as_deref().unwrap_or("fed"))
 }
 
 /// Parse the `retry_after_ms=` hint out of an `over capacity` refusal
@@ -310,7 +314,7 @@ pub fn resume_from_spool(path: &Path, cfg: &FederationConfig) -> Result<Federati
     if cfg.nodes.is_empty() {
         return Err("federation needs at least one node".into());
     }
-    let ckpt = FederationCheckpoint::load(path)?;
+    let ckpt = FederationCheckpoint::load(&RealSpoolFs, path)?;
     let num_shards = ckpt.spec.shards;
     let mut run = new_run(ckpt.spec, cfg);
     run.merged = ckpt.merged;
@@ -468,11 +472,7 @@ impl Run<'_> {
         // resends it verbatim, so a SUBMIT whose ack was lost is echoed
         // back by the node instead of admitting a duplicate scan.
         self.token_seq += 1;
-        sub.job_token = Some(derive_job_token(
-            self.spec.job_token.as_deref(),
-            &shards,
-            self.token_seq,
-        ));
+        sub.job_token = Some(derive_job_token(&sub, self.token_seq));
         match self.nodes[node].rpc(|c| c.submit(&sub)) {
             Ok(st) => {
                 self.assignments.push(Assignment {
@@ -574,7 +574,7 @@ impl Run<'_> {
                 .collect(),
             top: self.top.clone().into_sorted(),
         };
-        ckpt.save(path)?;
+        ckpt.save(&RealSpoolFs, path)?;
         self.spooled = self.merged.len();
         Ok(())
     }

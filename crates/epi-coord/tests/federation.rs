@@ -10,10 +10,20 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 fn write_dataset(tag: &str, m: usize, n: usize, seed: u64) -> std::path::PathBuf {
+    write_dataset_planted(tag, m, n, [2, 7, 11], seed)
+}
+
+fn write_dataset_planted(
+    tag: &str,
+    m: usize,
+    n: usize,
+    planted: [usize; 3],
+    seed: u64,
+) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("epi_coord_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{tag}-{}-{m}x{n}-{seed}.epi3", std::process::id()));
-    let data = datagen::DatasetSpec::with_planted_triple(m, n, [2, 7, 11], seed).generate();
+    let data = datagen::DatasetSpec::with_planted_triple(m, n, planted, seed).generate();
     datagen::io::save_binary(&path, &data).unwrap();
     path
 }
@@ -107,6 +117,51 @@ fn two_node_federation_merges_bit_identical_to_monolithic() {
         report.per_node_shards.iter().all(|(_, n)| *n > 0),
         "both nodes should do work: {:?}",
         report.per_node_shards
+    );
+
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Total shards scanned by the fleet since its servers started.
+fn fleet_scanned(addrs: &[SocketAddr]) -> u64 {
+    addrs
+        .iter()
+        .map(|a| Client::connect(a).unwrap().stats().unwrap().1)
+        .sum()
+}
+
+#[test]
+fn second_federation_on_a_live_fleet_is_never_echoed_the_first() {
+    // Same SNP count, same shard plan, no caller job_token: everything
+    // the derived sub-job tokens used to hash is equal across the two
+    // runs, so the fleet would answer B's SUBMITs with A's finished
+    // jobs and B would report A's top-K.
+    let a = write_dataset_planted("echo-a", 20, 256, [2, 7, 11], 5);
+    let b = write_dataset_planted("echo-b", 20, 256, [4, 9, 16], 6);
+    let (addrs, handles) = spawn_fleet(&[1, 1]);
+    let cfg = test_config(&addrs);
+    let spec_for = |path: &std::path::Path| {
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 12;
+        spec.top_k = 6;
+        spec
+    };
+
+    let report_a = federate(&spec_for(&a), &cfg).expect("federation A");
+    assert_bit_identical(&report_a.top, &monolithic(&a, 6));
+    let scanned_after_a = fleet_scanned(&addrs);
+    assert_eq!(scanned_after_a, 12);
+
+    let report_b = federate(&spec_for(&b), &cfg).expect("federation B");
+    let want_b = monolithic(&b, 6);
+    assert_ne!(want_b[0].triple, report_a.top[0].triple, "datasets differ");
+    assert_bit_identical(&report_b.top, &want_b);
+    assert_eq!(
+        fleet_scanned(&addrs) - scanned_after_a,
+        12,
+        "B's shards must be scanned, not echoed"
     );
 
     for h in handles {

@@ -34,7 +34,7 @@ use crate::codec::Checkpoint;
 use crate::job::{EncodedData, Job, JobState, JobStatus, DEFAULT_TENANT};
 use crate::queue::DispatchQueue;
 use crate::spec::JobSpec;
-use crate::spool::{RealSpoolFs, SpoolFs};
+use crate::spool::{self, RealSpoolFs, SpoolFs};
 use bitgenome::{SplitDataset, UnsplitDataset};
 use epi_core::prefixcache::PairPrefixCache;
 use epi_core::result::Candidate;
@@ -222,25 +222,24 @@ impl Engine {
             return;
         };
         paths.sort();
+        let decode = |bytes: &[u8]| Checkpoint::read_from(bytes);
         let mut state = lock(&shared.state);
         for path in &paths {
-            let name = path.to_string_lossy().into_owned();
+            let name = path.to_string_lossy();
             let restored = if name.ends_with(".ckpt") {
                 // Torn-file fallback: a disk fault (or crash) mid-write
                 // can leave the primary unreadable; checkpoint rotation
                 // keeps the previous good snapshot as `.ckpt.prev`.
-                restore_ckpt(&*shared.fs, path)
-                    .or_else(|| restore_ckpt(&*shared.fs, Path::new(&format!("{name}.prev"))))
+                spool::read_rotated(&*shared.fs, path, decode).ok()
             } else if name.ends_with(".ckpt.prev") {
                 // Orphaned rotation: the primary vanished entirely (a
                 // fault between the two renames). Restore from the
                 // `.prev` unless the primary is present in the listing
                 // (then the branch above already handled this job).
                 let primary = PathBuf::from(name.trim_end_matches(".prev"));
-                if paths.binary_search(&primary).is_err() {
-                    restore_ckpt(&*shared.fs, path)
-                } else {
-                    None
+                match paths.binary_search(&primary) {
+                    Ok(_) => None,
+                    Err(_) => shared.fs.read(path).ok().and_then(|b| decode(&b).ok()),
                 }
             } else {
                 None
@@ -248,7 +247,9 @@ impl Engine {
             // The checkpoint carries the shard plan's SNP count, so a
             // restore needs no dataset access at all; the file is only
             // reloaded (and validated) when the job is resumed.
-            let Some(mut job) = restored else { continue };
+            let Some(mut job) = restored.map(Checkpoint::into_job) else {
+                continue;
+            };
             // A spool on shared storage may have been written by a more
             // capable host: re-clamp the forced tier exactly as submit()
             // does, or a resumed job would dispatch unsupported SIMD
@@ -846,43 +847,21 @@ fn snapshot_if_spooled(job: &mut Job, spool: Option<&Path>) -> Option<(Checkpoin
     Some((Checkpoint::of_job(job), job.ckpt_seq))
 }
 
-/// Atomically write `<dir>/job-<id>.ckpt`: serialize to a buffer,
-/// write the `.tmp`, rotate the current primary aside as `.ckpt.prev`,
-/// then rename the tmp into place (the same tmp→prev→rename discipline
-/// as `epi_coord`'s federation checkpoint). Any single disk fault —
-/// failed write, failed rename, or a torn tmp that lied about success —
-/// leaves either the previous good primary or the `.prev` rotation on
-/// disk, and `restore_spool` knows to fall back to it.
+/// Write `<dir>/job-<id>.ckpt` through the spool's tmp → `.prev` →
+/// rename rotation ([`spool::write_rotated`]), so any single disk fault
+/// leaves a checkpoint `restore_spool` can still load.
 fn write_checkpoint_file(fs: &dyn SpoolFs, dir: &Path, ck: &Checkpoint) {
-    let tmp = dir.join(format!("job-{}.ckpt.tmp", ck.job_id));
     let path = dir.join(format!("job-{}.ckpt", ck.job_id));
-    let prev = dir.join(format!("job-{}.ckpt.prev", ck.job_id));
-    let write = || -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf)?;
-        fs.write(&tmp, &buf)?;
-        match fs.rename(&path, &prev) {
-            Ok(()) => {}
-            // first checkpoint of this job: nothing to rotate
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        fs.rename(&tmp, &path)
-    };
-    if let Err(e) = write() {
+    let mut buf = Vec::new();
+    let written = ck
+        .write_to(&mut buf)
+        .and_then(|()| spool::write_rotated(fs, &path, &buf));
+    if let Err(e) = written {
         eprintln!(
             "epi-server: checkpoint write for job {} failed: {e}",
             ck.job_id
         );
     }
-}
-
-/// Parse one checkpoint file through the spool layer; `None` on any
-/// read or decode failure (the caller decides the fallback).
-fn restore_ckpt(fs: &dyn SpoolFs, path: &Path) -> Option<Job> {
-    let bytes = fs.read(path).ok()?;
-    let ck = Checkpoint::read_from(bytes.as_slice()).ok()?;
-    Some(ck.into_job())
 }
 
 /// Fail every queued/running job whose `deadline_ms=` budget has

@@ -6,11 +6,13 @@
 //! suite wraps it in [`FaultySpoolFs`], which injects ENOSPC / EIO /
 //! torn-write faults on a scripted or seeded schedule — the disk-side
 //! sibling of `epi_coord::chaos`'s network fault proxy. Because
-//! checkpoint writes are atomic (tmp → rotate `.prev` → rename), any
-//! injected fault leaves either the previous good file or the new one
-//! intact, never a half-written primary; the tests in
-//! `engine.rs` / `tests/overload.rs` prove restart always recovers to
-//! the last good checkpoint.
+//! checkpoint writes rotate ([`write_rotated`]: tmp → `.prev` → rename
+//! — the one implementation both the engine's job checkpoints and
+//! `epi_coord`'s federation checkpoint go through), any injected fault
+//! leaves either the previous good file or the new one intact, never
+//! only a half-written primary; the tests in `engine.rs` /
+//! `tests/overload.rs` prove restart always recovers to the last good
+//! checkpoint.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -66,6 +68,49 @@ impl SpoolFs for RealSpoolFs {
     }
 }
 
+/// `<path><suffix>`: the `.tmp` and `.prev` siblings of a rotated file.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(suffix);
+    PathBuf::from(p)
+}
+
+/// Replace `path` with `bytes` torn-write-safely: write `<path>.tmp`,
+/// rotate the current primary aside as `<path>.prev`, then rename the
+/// tmp into place. Any single disk fault — failed write, failed rename,
+/// or a torn tmp that lied about success — leaves either the previous
+/// good primary or the `.prev` rotation on disk, which
+/// [`read_rotated`] falls back to.
+pub fn write_rotated(fs: &dyn SpoolFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = sibling(path, ".tmp");
+    fs.write(&tmp, bytes)?;
+    match fs.rename(path, &sibling(path, ".prev")) {
+        Ok(()) => {}
+        // first write of this file: nothing to rotate
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    fs.rename(&tmp, path)
+}
+
+/// Read and `decode` what [`write_rotated`] left at `path`, falling back
+/// to `<path>.prev` when the primary is missing or does not decode (a
+/// crash or disk fault mid-write leaves exactly that shape). When both
+/// fail the error is the primary's.
+pub fn read_rotated<T>(
+    fs: &dyn SpoolFs,
+    path: &Path,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+) -> Result<T, String> {
+    let read = |p: &Path| {
+        let bytes = fs
+            .read(p)
+            .map_err(|e| format!("read spool {}: {e}", p.display()))?;
+        decode(&bytes)
+    };
+    read(path).or_else(|primary_err| read(&sibling(path, ".prev")).map_err(|_| primary_err))
+}
+
 /// A disk fault the schedule can inject on a mutating spool op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpoolFault {
@@ -87,16 +132,26 @@ pub enum SpoolSchedule {
     /// Explicit per-op script; ops past the end run clean.
     Scripted(Vec<Option<SpoolFault>>),
     /// Pseudorandom schedule derived from the seed: roughly one op in
-    /// four faults, kind mixed by the same splitmix64 spin as
-    /// `epi_coord::chaos`, so CI can replay a failure from its seed.
+    /// four faults, kind mixed by [`seeded_roll`] (shared with
+    /// `epi_coord::chaos`), so CI can replay a failure from its seed.
     Seeded(u64),
 }
 
+/// SplitMix64: tiny, seedable, and good enough to decorrelate
+/// consecutive indices.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The roll a seeded fault schedule draws for event `index`: a pure
+/// function of `(seed, index)`, so a failing run replays from its seed.
+/// The disk schedule here and the network schedule in
+/// `epi_coord::chaos` both decide from it.
+pub fn seeded_roll(seed: u64, index: u64) -> u64 {
+    splitmix64(seed.wrapping_mul(0x9E37_79B1).wrapping_add(index))
 }
 
 impl SpoolSchedule {
@@ -105,7 +160,7 @@ impl SpoolSchedule {
         match self {
             SpoolSchedule::Scripted(script) => script.get(index as usize).copied().flatten(),
             SpoolSchedule::Seeded(seed) => {
-                let r = splitmix64(seed.wrapping_mul(0x9E37_79B1).wrapping_add(index));
+                let r = seeded_roll(*seed, index);
                 if !r.is_multiple_of(4) {
                     return None;
                 }

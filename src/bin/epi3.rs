@@ -49,20 +49,6 @@ commands:
   pairs FILE    exhaustive two-way scan [--top K] [--threads N]
   significance FILE   permutation test [--permutations P] [--seed N]
   summary FILE  dataset quality-control summary
-  bench         kernel-version throughput on a fixed synthetic dataset,
-                the cross-triple pair-cache hit rate over a rank-order
-                shard plan, the detected L2/L3-derived cross-pair cache
-                budget, a per-tier deep-prefix fill microbenchmark, a
-                parallel scaling sweep (chunk-1 vs run-aware scheduler
-                at each worker count, with pool-wide cache hit rates),
-                a federation block (1/2/4-node loopback fleets plus
-                a forced-straggler steal-latency measurement), and a
-                federation-recovery block (node re-admission latency,
-                crash-resume vs fresh wall-clock, hash-verify overhead)
-                  [--snps N] [--samples N] [--seed N] [--trials T]
-                  [--versions v2,v4,v5] [--threads N] [--shards S]
-                  [--scale-threads a,b,c] [--scale-samples N]
-                  [--simd TIER] [--out FILE]
   devices       print the paper's device catalogs (Tables I & II)
   lint          in-tree static analysis: determinism, unsafe/SIMD
                 hygiene, lock discipline, wire-protocol conformance,
@@ -119,7 +105,7 @@ over length-prefixed, checksummed binary frames instead of plain text
 TIER = scalar|avx2|avx512|vpopcnt. Every command that scans accepts
 --simd; when the flag is absent the EPI3_SIMD env var applies instead.
 Tiers above the host's capability are clamped with a warning (scan,
-shards, bench, serve clamp locally; submit lets the server clamp).
+shards, serve clamp locally; submit lets the server clamp).
 
 Thread counts: scan/shards/pairs --threads and serve --workers default
 to 0 (= all cores); when the flag is absent the EPI3_THREADS env var
@@ -139,7 +125,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "pairs" => cmd_pairs(rest),
         "significance" => cmd_significance(rest),
         "summary" => cmd_summary(rest),
-        "bench" => cmd_bench(rest),
         "devices" => cmd_devices(),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
@@ -815,852 +800,6 @@ fn forced_simd(args: &[String]) -> Result<Option<bitgenome::SimdLevel>, String> 
     Ok(Some(want))
 }
 
-/// Fixed-workload kernel benchmark: runs the requested versions on one
-/// synthetic dataset (single-threaded by default, isolating kernel
-/// quality), measures the cross-triple pair-cache hit rate on a
-/// rank-order sharded V5 scan (the epi-server work unit), and writes a
-/// small JSON report so successive PRs can track the throughput
-/// trajectory (`BENCH_PR2.json`, `BENCH_PR3.json`, et seq.).
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let snps = opt_usize(args, "--snps", 64)?;
-    let samples = opt_usize(args, "--samples", 2048)?;
-    let seed = opt_usize(args, "--seed", 9)? as u64;
-    let trials = opt_usize(args, "--trials", 5)?.max(1);
-    // The kernel table stays single-threaded unless --threads says
-    // otherwise (isolating kernel quality); the scaling sweep below
-    // covers the parallel dimension. Deliberately NOT EPI3_THREADS-
-    // sensitive: an env var exported for serving must not silently turn
-    // the version-to-version comparison into a scheduler benchmark.
-    let threads = opt_usize(args, "--threads", 1)?;
-    let shards = opt_usize(args, "--shards", 64)?.max(1) as u64;
-    let out = opt_value(args, "--out").unwrap_or("BENCH_PR7.json");
-    let forced = forced_simd(args)?;
-    let versions: Vec<Version> = match opt_value(args, "--versions") {
-        None => vec![Version::V2, Version::V4, Version::V5],
-        Some(list) => list
-            .split(',')
-            .map(parse_version_name)
-            .collect::<Result<_, _>>()?,
-    };
-
-    let data = DatasetSpec::noise(snps, samples, seed).generate();
-    let simd = match forced {
-        Some(level) => level,
-        None => devices::HostCpu::detect().simd,
-    };
-    println!(
-        "bench: {snps} SNPs x {samples} samples, seed {seed}, {trials} trials, \
-         {threads} thread(s), SIMD {simd}{}",
-        if forced.is_some() { " (forced)" } else { "" }
-    );
-
-    let mut measured: Vec<(Version, f64, f64)> = Vec::new();
-    let mut bests: Vec<(Version, Candidate)> = Vec::new();
-    for &version in &versions {
-        let mut cfg = ScanConfig::new(version);
-        cfg.threads = threads;
-        cfg.simd = forced;
-        // warm-up pass (encoding caches, page faults), then best-of-T
-        let warm = scan(&data.genotypes, &data.phenotype, &cfg);
-        if let Some(best) = warm.best() {
-            bests.push((version, best));
-        }
-        let mut best: Option<(f64, f64)> = None;
-        for _ in 0..trials {
-            let res = scan(&data.genotypes, &data.phenotype, &cfg);
-            let secs = res.elapsed.as_secs_f64();
-            let geps = res.giga_elements_per_sec();
-            if best.is_none_or(|(s, _)| secs < s) {
-                best = Some((secs, geps));
-            }
-        }
-        let (secs, geps) = best.unwrap();
-        println!("  {version}: {secs:.4} s -> {geps:.3} G elements/s");
-        measured.push((version, secs, geps));
-    }
-
-    // All versions are bit-identical by construction; fail the bench (and
-    // CI with it) if any tier/version disagrees on the best candidate.
-    for pair in bests.windows(2) {
-        let ((va, a), (vb, b)) = (&pair[0], &pair[1]);
-        if a.triple != b.triple || a.score.to_bits() != b.score.to_bits() {
-            return Err(format!(
-                "consistency FAILED: {va} found {:?} ({}) but {vb} found {:?} ({})",
-                a.triple, a.score, b.triple, b.score
-            ));
-        }
-    }
-    if bests.len() > 1 {
-        println!("  consistency: all versions agree bit-identically");
-    }
-
-    // Cross-triple pair-cache hit rate: one worker drains a rank-order
-    // shard plan with a persistent PairPrefixCache (exactly the
-    // epi-server inner loop), then the merged result is checked against
-    // the monolithic scans above.
-    let ds = bitgenome::SplitDataset::encode(&data.genotypes, &data.phenotype);
-    let mut cfg5 = ScanConfig::new(Version::V5);
-    cfg5.simd = forced;
-    let plan = ShardPlan::triples(snps, shards);
-    let mut cache = epi_core::prefixcache::PairPrefixCache::new(cfg5.effective_simd());
-    let shard_start = std::time::Instant::now();
-    let mut merged = epi_core::result::TopK::new(1);
-    for range in plan.ranges() {
-        merged.merge(epi_core::shard::scan_shard_split_cached(
-            &ds, &cfg5, range, &mut cache,
-        ));
-    }
-    let shard_secs = shard_start.elapsed().as_secs_f64();
-    let (hits, misses, hit_rate) = (cache.hits(), cache.misses(), cache.hit_rate());
-    println!(
-        "  pair cache over {shards} rank-order shards: {hits} hits / {misses} misses \
-         -> {:.1}% hit rate ({shard_secs:.4} s)",
-        hit_rate * 100.0
-    );
-    if let (Some(shard_best), Some(&(_, scan_best))) = (merged.into_sorted().first(), bests.last())
-    {
-        if shard_best.triple != scan_best.triple
-            || shard_best.score.to_bits() != scan_best.score.to_bits()
-        {
-            return Err("consistency FAILED: cached shard scan differs from monolithic".into());
-        }
-    }
-
-    // Adaptive cross-pair cache budget: what the hierarchy detectors saw
-    // and the budget the blocked V5 kernel derives from it.
-    let l2 = devices::detect_l2();
-    let l3 = devices::detect_l3();
-    let budget = BlockParams::with_detected_budget();
-    println!(
-        "  cross-pair budget: {:.1} MiB (L2 {}, L3 {}, fixed floor 4 MiB)",
-        budget as f64 / (1 << 20) as f64,
-        l2.map(|c| format!("{} KiB/{}cpu", c.geom.size_bytes >> 10, c.shared_cpus))
-            .unwrap_or_else(|| "undetected".into()),
-        l3.map(|c| format!("{} KiB/{}cpu", c.geom.size_bytes >> 10, c.shared_cpus))
-            .unwrap_or_else(|| "undetected".into()),
-    );
-
-    // Deep-prefix fill microbenchmark: the depth-≥3 k-way fill
-    // (fill_prefix_cache) per available tier, against the same buffers.
-    // The SIMD tiers must keep pace with — never fall behind — the
-    // scalar fill, or the k-way deep levels would drag the whole cache.
-    // at least 512 words per stream: enough work per pass for stable
-    // timing even on the small CI smoke datasets
-    let prefix_fill = bench_prefix_fill(samples.div_ceil(64).max(512));
-    for (level, secs) in &prefix_fill {
-        let scalar = prefix_fill[0].1;
-        println!(
-            "  prefix fill [{level}]: {:.2} ns/word ({:.2}x scalar)",
-            secs,
-            if *secs > 0.0 { scalar / secs } else { 0.0 }
-        );
-    }
-
-    // Parallel scaling sweep: the blocked V5 scan under both schedulers
-    // (pre-locality chunk-1 vs run-aware claiming) at each worker count,
-    // with pool-aggregated cross-pair and prefix-cache hit rates, plus
-    // the analytic model's predictions for comparison. Worker counts
-    // beyond the host's cores are run anyway (deliberately
-    // oversubscribed) — that is precisely the regime where scheduler
-    // locality shows, and it keeps the sweep meaningful on small CI
-    // boxes. The sweep runs on its own, wider sample dimension
-    // (--scale-samples, default 256 Ki samples): tasks must be
-    // comparable to an OS timeslice for worker interleaving — and with
-    // it the chunk-1 cache collapse — to be physically observable even
-    // when cores are scarce; on tiny tasks a single timeslice covers
-    // whole runs and every scheduler looks sequential.
-    let scale_counts = scale_thread_counts(args)?;
-    let scale_samples = opt_usize(args, "--scale-samples", samples.max(256 * 1024))?.max(64);
-    let scale_data_owned;
-    let scale_data: &Dataset = if scale_samples == samples {
-        &data
-    } else {
-        scale_data_owned = DatasetSpec::noise(snps, scale_samples, seed).generate();
-        &scale_data_owned
-    };
-    println!(
-        "  scaling sweep: {snps} SNPs x {scale_samples} samples, workers {scale_counts:?}, \
-         chunk-1 vs run-aware"
-    );
-    let sweep = bench_scaling(scale_data, forced, trials, shards, &scale_counts)?;
-    let nb = {
-        let cfg5 = {
-            let mut c = ScanConfig::new(Version::V5);
-            c.simd = forced;
-            c
-        };
-        snps.div_ceil(cfg5.effective_block().bs)
-    };
-    let model: Vec<epi_core::costs::V5ParallelModel> = scale_counts
-        .iter()
-        .map(|&w| {
-            epi_core::costs::VersionCosts::v5_parallel(
-                nb,
-                w,
-                devices::detect_l2(),
-                devices::detect_l3(),
-            )
-        })
-        .collect();
-    for (row_ra, (row_c1, m)) in sweep.run_aware.iter().zip(sweep.chunk1.iter().zip(&model)) {
-        println!(
-            "  scaling @{} worker(s): run-aware {:.3} GEPS (eff {:.2}, xpair {:.0}%/{:.0}% model) \
-             | chunk-1 {:.3} GEPS (xpair {:.0}%/{:.0}% model)",
-            row_ra.workers,
-            row_ra.geps,
-            row_ra.efficiency,
-            row_ra.cross_pair_hit_rate * 100.0,
-            m.hit_rate_run_aware * 100.0,
-            row_c1.geps,
-            row_c1.cross_pair_hit_rate * 100.0,
-            m.hit_rate_chunk1 * 100.0,
-        );
-    }
-    if let (Some(ra), Some(c1)) = (sweep.run_aware.last(), sweep.chunk1.last()) {
-        println!(
-            "  scaling verdict @{} worker(s): run-aware {:.3} GEPS vs chunk-1 {:.3} GEPS ({:+.1}%)",
-            ra.workers,
-            ra.geps,
-            c1.geps,
-            (ra.geps / c1.geps - 1.0) * 100.0
-        );
-    }
-
-    // Federation block: the same workload federated over loopback fleets
-    // of 1, 2 and 4 in-process servers, plus one forced-straggler run to
-    // measure steal latency (decision -> resubmission ack).
-    let fed = bench_federation(&data, snps, samples, trials.min(3), shards)?;
-    for row in &fed.rows {
-        println!(
-            "  federation @{} node(s): {:.4} s -> {:.3} G elements/s ({} steal(s))",
-            row.nodes, row.best_seconds, row.geps, row.steals
-        );
-    }
-    match fed.steal_latency_ms {
-        Some(ms) => println!("  federation steal latency (forced straggler): {ms:.1} ms"),
-        None => println!("  federation steal latency: no steal occurred (timing-dependent)"),
-    }
-
-    // Recovery block (PR 7): what the robustness machinery costs —
-    // dataset-hash verification, crash-resume vs a fresh run, and the
-    // probation-probe re-admission latency after a node restart.
-    let rec = bench_recovery(&data, shards)?;
-    println!(
-        "  federation recovery: hash-verify {:.2} ms, fresh {:.3} s vs crash+resume {:.3} s \
-         ({} shard(s) adopted, not rescanned)",
-        rec.hash_verify_ms, rec.fresh_seconds, rec.resume_seconds, rec.resumed_merged
-    );
-    match rec.readmission_ms {
-        Some(ms) => println!("  federation re-admission latency (killed node): {ms:.1} ms"),
-        None => println!("  federation re-admission latency: node never probed back in time"),
-    }
-
-    let geps_of = |v: Version| {
-        measured
-            .iter()
-            .find(|(mv, _, _)| *mv == v)
-            .map(|&(_, _, g)| g)
-    };
-    let speedup = match (geps_of(Version::V5), geps_of(Version::V4)) {
-        (Some(v5), Some(v4)) if v4 > 0.0 => {
-            let s = v5 / v4;
-            println!("  V5 / V4 speedup: {s:.2}x");
-            Some(s)
-        }
-        _ => None,
-    };
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"snps\": {snps},\n  \"samples\": {samples},\n  \"seed\": {seed},\n  \
-         \"trials\": {trials},\n  \"threads\": {threads},\n  \"simd\": \"{simd}\",\n"
-    ));
-    json.push_str("  \"giga_elements_per_sec\": {\n");
-    for (i, (v, secs, geps)) in measured.iter().enumerate() {
-        let comma = if i + 1 < measured.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{}\": {{\"best_seconds\": {secs:.6}, \"geps\": {geps:.4}}}{comma}\n",
-            v.name()
-        ));
-    }
-    json.push_str("  }");
-    if let Some(s) = speedup {
-        json.push_str(&format!(",\n  \"speedup_v5_over_v4\": {s:.4}"));
-    }
-    json.push_str(&format!(
-        ",\n  \"pair_cache\": {{\"shards\": {shards}, \"hits\": {hits}, \
-         \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}, \
-         \"sharded_seconds\": {shard_secs:.6}}}"
-    ));
-    json.push_str(&format!(
-        ",\n  \"cache_budget\": {{\"l2_bytes\": {}, \"l2_shared_cpus\": {}, \
-         \"l3_bytes\": {}, \"l3_shared_cpus\": {}, \"budget_bytes\": {budget}, \
-         \"fixed_floor_bytes\": {}}}",
-        l2.map(|c| c.geom.size_bytes).unwrap_or(0),
-        l2.map(|c| c.shared_cpus).unwrap_or(0),
-        l3.map(|c| c.geom.size_bytes).unwrap_or(0),
-        l3.map(|c| c.shared_cpus).unwrap_or(0),
-        epi_core::block::CROSS_PAIR_CACHE_BUDGET,
-    ));
-    json.push_str(",\n  \"prefix_fill_ns_per_word\": {");
-    for (i, (level, ns)) in prefix_fill.iter().enumerate() {
-        let comma = if i + 1 < prefix_fill.len() { "," } else { "" };
-        json.push_str(&format!("\n    \"{}\": {ns:.4}{comma}", level.token()));
-    }
-    json.push_str("\n  }");
-    // the scaling block: measured per-worker-count rows per scheduler,
-    // plus the analytic model the measurements validate
-    json.push_str(&format!(
-        ",\n  \"scaling\": {{\n    \"scale_samples\": {scale_samples},\n    \"thread_counts\": ["
-    ));
-    json.push_str(
-        &scale_counts
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n    \"chunk1\": ");
-    json.push_str(&scaling_rows_json(&sweep.chunk1));
-    json.push_str(",\n    \"run_aware\": ");
-    json.push_str(&scaling_rows_json(&sweep.run_aware));
-    json.push_str(",\n    \"model\": [");
-    for (i, m) in model.iter().enumerate() {
-        json.push_str(&format!(
-            "\n      {{\"threads\": {}, \"per_worker_budget_bytes\": {}, \
-             \"mean_claim_run_len\": {:.4}, \"hit_rate_run_aware\": {:.4}, \
-             \"hit_rate_chunk1\": {:.4}}}{}",
-            m.workers,
-            m.per_worker_budget,
-            m.mean_claim_run_len,
-            m.hit_rate_run_aware,
-            m.hit_rate_chunk1,
-            if i + 1 < model.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("\n    ]\n  }");
-    // the federation block: loopback fleet throughput + steal latency
-    json.push_str(&format!(
-        ",\n  \"federation\": {{\n    \"shards\": {shards},\n    \"rows\": ["
-    ));
-    for (i, r) in fed.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "\n      {{\"nodes\": {}, \"best_seconds\": {:.6}, \"geps\": {:.4}, \
-             \"steals\": {}}}{}",
-            r.nodes,
-            r.best_seconds,
-            r.geps,
-            r.steals,
-            if i + 1 < fed.rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("\n    ],\n    \"steal_latency_ms\": ");
-    match fed.steal_latency_ms {
-        Some(ms) => json.push_str(&format!("{ms:.3}")),
-        None => json.push_str("null"),
-    }
-    json.push_str("\n  }");
-    // the recovery block: robustness-machinery cost and latency figures
-    json.push_str(&format!(
-        ",\n  \"federation_recovery\": {{\"hash_verify_ms\": {:.4}, \
-         \"fresh_seconds\": {:.6}, \"resume_seconds\": {:.6}, \
-         \"resumed_merged\": {}, \"readmission_ms\": {}}}",
-        rec.hash_verify_ms,
-        rec.fresh_seconds,
-        rec.resume_seconds,
-        rec.resumed_merged,
-        match rec.readmission_ms {
-            Some(ms) => format!("{ms:.3}"),
-            None => "null".into(),
-        }
-    ));
-    json.push_str("\n}\n");
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// One measured point of the scaling sweep.
-struct ScaleRow {
-    workers: usize,
-    best_seconds: f64,
-    geps: f64,
-    /// Per-worker GEPS relative to the sweep's lowest worker count:
-    /// `(geps / workers) / (geps_base / workers_base)` — 1.0 is perfect
-    /// scaling from the base row (the base is `workers = 1` under the
-    /// default counts).
-    efficiency: f64,
-    /// Pool-aggregated V5 block-pair cache rates (blocked path).
-    cross_pair_hit_rate: f64,
-    cross_pair_hit_min: f64,
-    cross_pair_hit_max: f64,
-    /// Pool-aggregated pair-prefix cache rate (rank-order sharded path).
-    prefix_hit_rate: f64,
-}
-
-/// Measured scaling of both schedulers.
-struct ScalingSweep {
-    chunk1: Vec<ScaleRow>,
-    run_aware: Vec<ScaleRow>,
-}
-
-/// Worker counts of the scaling sweep: `--scale-threads a,b,c` or the
-/// default `1, 2, 4, …` powers of two up to the core count (always at
-/// least {1, 2, 4} so the sweep says something even on tiny hosts).
-fn scale_thread_counts(args: &[String]) -> Result<Vec<usize>, String> {
-    if let Some(list) = opt_value(args, "--scale-threads") {
-        let counts: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
-        let counts =
-            counts.map_err(|_| format!("--scale-threads expects numbers, got {list:?}"))?;
-        if counts.is_empty() || counts.contains(&0) {
-            return Err("--scale-threads needs positive worker counts".into());
-        }
-        return Ok(counts);
-    }
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = vec![1usize, 2, 4];
-    let mut w = 8;
-    while w <= ncores {
-        counts.push(w);
-        w *= 2;
-    }
-    counts.push(ncores);
-    counts.sort_unstable();
-    counts.dedup();
-    Ok(counts)
-}
-
-/// Run the blocked V5 scan (and one rank-order sharded pass) under both
-/// schedulers at each worker count, checking that every configuration
-/// reproduces the single-worker result bit-identically.
-///
-/// Measurement methodology: the two schedulers are *interleaved* within
-/// each trial round (chunk-1, then run-aware, repeat), so slow drift on
-/// a shared box — thermal throttling, a noisy neighbour — biases neither
-/// side; each cell reports its best round.
-fn bench_scaling(
-    data: &Dataset,
-    forced: Option<bitgenome::SimdLevel>,
-    trials: usize,
-    shards: u64,
-    counts: &[usize],
-) -> Result<ScalingSweep, String> {
-    use epi_core::scan::scan_split_with_workers;
-    use epi_core::shard::scan_sharded_with_workers;
-
-    let ds = bitgenome::SplitDataset::encode(&data.genotypes, &data.phenotype);
-    let mut sweep = ScalingSweep {
-        chunk1: Vec::new(),
-        run_aware: Vec::new(),
-    };
-    let schedulers = [Scheduler::PoolChunk1, Scheduler::Pool];
-    let mut reference: Option<Candidate> = None;
-    for &w in counts {
-        let mut best = [None::<(f64, f64)>; 2];
-        let mut stats = [
-            epi_core::PoolCacheStats::default(),
-            epi_core::PoolCacheStats::default(),
-        ];
-        for _ in 0..trials {
-            for (si, &scheduler) in schedulers.iter().enumerate() {
-                let mut cfg = ScanConfig::new(Version::V5);
-                cfg.simd = forced;
-                cfg.scheduler = scheduler;
-                let (res, s) = scan_split_with_workers(&ds, &cfg, w);
-                let secs = res.elapsed.as_secs_f64();
-                if best[si].is_none_or(|(b, _)| secs < b) {
-                    best[si] = Some((secs, res.giga_elements_per_sec()));
-                }
-                stats[si] = s.expect("V5 reports cross-pair stats");
-                // every (scheduler, workers) cell must agree bit-identically
-                match (&reference, res.best()) {
-                    (None, c) => reference = c,
-                    (Some(want), Some(got))
-                        if want.triple != got.triple
-                            || want.score.to_bits() != got.score.to_bits() =>
-                    {
-                        return Err(format!(
-                            "scaling consistency FAILED: {scheduler:?} at {w} workers found \
-                             {:?} ({}) instead of {:?} ({})",
-                            got.triple, got.score, want.triple, want.score
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (si, &scheduler) in schedulers.iter().enumerate() {
-            let (best_seconds, geps) = best[si].expect("at least one trial");
-            let mut cfg = ScanConfig::new(Version::V5);
-            cfg.simd = forced;
-            cfg.scheduler = scheduler;
-            let (_, prefix_stats) =
-                scan_sharded_with_workers(&data.genotypes, &data.phenotype, &cfg, shards, w);
-            let rows = match scheduler {
-                Scheduler::Pool => &mut sweep.run_aware,
-                _ => &mut sweep.chunk1,
-            };
-            rows.push(ScaleRow {
-                workers: w,
-                best_seconds,
-                geps,
-                efficiency: 0.0, // filled below once the w = 1 base is known
-                cross_pair_hit_rate: stats[si].hit_rate(),
-                cross_pair_hit_min: stats[si].min_hit_rate(),
-                cross_pair_hit_max: stats[si].max_hit_rate(),
-                prefix_hit_rate: prefix_stats.hit_rate(),
-            });
-        }
-    }
-    // Efficiency against the lowest measured worker count (per-worker
-    // GEPS relative to the base's per-worker GEPS), so a sweep without a
-    // workers = 1 row still reports meaningful numbers.
-    for rows in [&mut sweep.chunk1, &mut sweep.run_aware] {
-        let base = rows
-            .iter()
-            .min_by_key(|r| r.workers)
-            .map(|r| (r.geps, r.workers as f64));
-        for r in rows.iter_mut() {
-            r.efficiency = match base {
-                Some((bg, bw)) if bg > 0.0 => (r.geps / r.workers as f64) / (bg / bw),
-                _ => 0.0,
-            };
-        }
-    }
-    Ok(sweep)
-}
-
-/// One measured fleet size of the federation benchmark.
-struct FederationRow {
-    nodes: usize,
-    best_seconds: f64,
-    geps: f64,
-    /// Steals observed across all trials at this fleet size (expected 0
-    /// on a quiet loopback fleet; nonzero means the patience threshold
-    /// fired, which is interesting in itself).
-    steals: usize,
-}
-
-/// Measured federation benchmark: per-fleet-size throughput plus one
-/// forced-straggler steal-latency measurement.
-struct FederationBench {
-    rows: Vec<FederationRow>,
-    /// Mean decision-to-resubmission-ack latency over the steals of the
-    /// forced-straggler run; `None` when no steal fired (the window is
-    /// timing-dependent — a very fast host can drain the backlog before
-    /// the patience threshold trips).
-    steal_latency_ms: Option<f64>,
-}
-
-/// Federate the bench workload over in-process loopback fleets of 1, 2
-/// and 4 servers (best-of-`trials` each), then force a straggler — one
-/// node pre-loaded with a throttled background job — to measure steal
-/// latency. Every run's merged top-1 is checked against the others
-/// bit-identically via the coordinator's own per-shard merge.
-fn bench_federation(
-    data: &Dataset,
-    snps: usize,
-    samples: usize,
-    trials: usize,
-    shards: u64,
-) -> Result<FederationBench, String> {
-    // the fleet loads the dataset from disk like any real deployment
-    let path = std::env::temp_dir().join(format!("epi3_bench_fed_{}.epi3", std::process::id()));
-    datagen::io::save_binary(&path, data).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-    let path_s = path.to_string_lossy().into_owned();
-    let elements = epi_core::combin::num_elements(snps, samples) as f64;
-
-    let fed_config = |addrs: &[String]| {
-        let mut cfg = FederationConfig::new(addrs.to_vec());
-        cfg.poll_cap = Duration::from_millis(10); // tighten for short runs
-        cfg
-    };
-    let run = |addrs: &[String], spec: &JobSpec| -> Result<FederationReport, String> {
-        federate(spec, &fed_config(addrs))
-    };
-
-    let mut rows = Vec::new();
-    let mut reference: Option<Candidate> = None;
-    for nodes in [1usize, 2, 4] {
-        let mut best = f64::INFINITY;
-        let mut steals = 0;
-        for _ in 0..trials.max(1) {
-            let (addrs, handles) = spawn_loopback_fleet(nodes, 0, None)?;
-            let mut spec = JobSpec::new(&path_s);
-            spec.shards = shards;
-            spec.top_k = 1;
-            let outcome = run(&addrs, &spec);
-            for h in handles {
-                h.shutdown();
-            }
-            let report = outcome?;
-            best = best.min(report.elapsed.as_secs_f64());
-            steals += report.steals.len();
-            match (&reference, report.top.first()) {
-                (None, c) => reference = c.cloned(),
-                (Some(want), Some(got))
-                    if want.triple != got.triple || want.score.to_bits() != got.score.to_bits() =>
-                {
-                    return Err(format!(
-                        "federation consistency FAILED: {nodes} node(s) found {:?} ({}) \
-                         instead of {:?} ({})",
-                        got.triple, got.score, want.triple, want.score
-                    ));
-                }
-                _ => {}
-            }
-        }
-        rows.push(FederationRow {
-            nodes,
-            best_seconds: best,
-            geps: elements / 1e9 / best,
-            steals,
-        });
-    }
-
-    // Forced straggler: node 1 first chews through a throttled background
-    // job (the engine's shard queue is FIFO across jobs, so the
-    // federation sub-job waits behind it), node 0 drains its own half
-    // quickly and steals the backlog once its patience runs out.
-    let (addrs, handles) = spawn_loopback_fleet(2, 0, None)?;
-    let mut bg = JobSpec::new(&path_s);
-    bg.shards = 12;
-    bg.top_k = 1;
-    bg.throttle_ms = 30;
-    Client::connect(addrs[1].as_str())
-        .map_err(|e| format!("connect to straggler failed: {e}"))?
-        .submit(&bg)
-        .map_err(|e| format!("background job submit failed: {e}"))?;
-    let mut spec = JobSpec::new(&path_s);
-    spec.shards = 16;
-    spec.top_k = 1;
-    spec.throttle_ms = 10;
-    let mut cfg = fed_config(&addrs);
-    cfg.steal_patience = Duration::from_millis(50);
-    let outcome = federate(&spec, &cfg);
-    for h in handles {
-        h.shutdown();
-    }
-    let report = outcome?;
-    let lat: Vec<f64> = report
-        .steals
-        .iter()
-        .map(|s| s.latency.as_secs_f64() * 1e3)
-        .collect();
-    let steal_latency_ms = (!lat.is_empty()).then(|| lat.iter().sum::<f64>() / lat.len() as f64);
-
-    let _ = std::fs::remove_file(&path);
-    Ok(FederationBench {
-        rows,
-        steal_latency_ms,
-    })
-}
-
-/// Measured cost and latency of the federation robustness machinery.
-struct RecoveryBench {
-    /// One dataset content hash over the bench cohort — the per-SUBMIT
-    /// integrity-verification overhead.
-    hash_verify_ms: f64,
-    /// Wall clock of an uninterrupted 2-node federated run.
-    fresh_seconds: f64,
-    /// Wall clock of the resumed half of a crashed run (coordinator
-    /// killed after half the shards merged, then `resume_from_spool`).
-    resume_seconds: f64,
-    /// Shards the resume adopted from the checkpoint instead of
-    /// rescanning.
-    resumed_merged: u64,
-    /// Death-to-readmission span of a killed-and-restarted node; `None`
-    /// when the scan outran the restart (timing-dependent).
-    readmission_ms: Option<f64>,
-}
-
-/// Benchmark the PR 7 robustness machinery: hash-verify overhead,
-/// crash-resume wall-clock against a fresh run, and probation
-/// re-admission latency after a node kill/restart.
-fn bench_recovery(data: &Dataset, shards: u64) -> Result<RecoveryBench, String> {
-    use std::time::Instant;
-
-    let t = Instant::now();
-    let digest = epi_core::integrity::dataset_hash(&data.genotypes, &data.phenotype);
-    let hash_verify_ms = t.elapsed().as_secs_f64() * 1e3;
-    std::hint::black_box(digest);
-
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("epi3_bench_rec_{}.epi3", std::process::id()));
-    datagen::io::save_binary(&path, data).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-    let path_s = path.to_string_lossy().into_owned();
-    let spool = dir.join(format!("epi3_bench_rec_{}.fedckpt", std::process::id()));
-    let _ = std::fs::remove_file(&spool);
-
-    let base_cfg = |addrs: &[String]| {
-        let mut cfg = FederationConfig::new(addrs.to_vec());
-        cfg.poll_cap = Duration::from_millis(10);
-        cfg.probe_floor = Duration::from_millis(5);
-        cfg.probe_cap = Duration::from_millis(50);
-        cfg
-    };
-    let mut spec = JobSpec::new(&path_s);
-    spec.shards = shards;
-    spec.top_k = 1;
-
-    // fresh run: the baseline the resume is compared against
-    let (addrs, handles) = spawn_loopback_fleet(2, 0, None)?;
-    let fresh = federate(&spec, &base_cfg(&addrs));
-    for h in handles {
-        h.shutdown();
-    }
-    let fresh_seconds = fresh?.elapsed.as_secs_f64();
-
-    // crash after half the merges, then resume against the SAME fleet —
-    // the nodes keep scanning while the coordinator is gone, which is
-    // exactly the deployment story
-    let (addrs, handles) = spawn_loopback_fleet(2, 0, None)?;
-    let mut cfg = base_cfg(&addrs);
-    cfg.spool_path = Some(spool.clone());
-    cfg.fail_after_merges = Some((shards / 2).max(1));
-    let crash = federate(&spec, &cfg);
-    cfg.fail_after_merges = None;
-    let resumed = if crash.is_err() && spool.exists() {
-        resume_from_spool(&spool, &cfg)
-    } else {
-        // the whole scan merged inside one tick — nothing to resume;
-        // fall back to a fresh run so the row is still comparable
-        federate(&spec, &cfg)
-    };
-    for h in handles {
-        h.shutdown();
-    }
-    let resumed = resumed?;
-    let (resume_seconds, resumed_merged) = (resumed.elapsed.as_secs_f64(), resumed.resumed_merged);
-
-    // kill node 1 mid-scan, restart it, and time the re-admission
-    let (addrs, mut handles) = spawn_loopback_fleet(2, 0, None)?;
-    let victim_addr = addrs[1].clone();
-    let reviver = std::thread::spawn(move || {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while Instant::now() < deadline {
-            if let Ok(mut c) = Client::connect(victim_addr.as_str()) {
-                let running = c.jobs().map(|jobs| jobs.iter().any(|j| j.in_flight > 0));
-                if matches!(running, Ok(true)) {
-                    let _ = c.shutdown();
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        Server::bind(
-            victim_addr.as_str(),
-            EngineConfig {
-                workers: 0,
-                spool_dir: None,
-                default_simd: None,
-                dataset_root: None,
-                ..EngineConfig::default()
-            },
-        )
-        .ok()
-        .map(|s| s.spawn())
-    });
-    let mut spec = spec.clone();
-    spec.throttle_ms = 10; // stretch the scan past the restart window
-    let outcome = federate(&spec, &base_cfg(&addrs));
-    let revived = reviver.join().map_err(|_| "reviver thread panicked")?;
-    handles.remove(1); // first incarnation shut itself down
-    for h in handles {
-        h.shutdown();
-    }
-    if let Some(h) = revived {
-        h.shutdown();
-    }
-    let readmission_ms = outcome?
-        .readmissions
-        .first()
-        .map(|r| r.downtime.as_secs_f64() * 1e3);
-
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&spool);
-    let _ = std::fs::remove_file(spool.with_extension("fedckpt.prev"));
-    Ok(RecoveryBench {
-        hash_verify_ms,
-        fresh_seconds,
-        resume_seconds,
-        resumed_merged,
-        readmission_ms,
-    })
-}
-
-/// Render one scheduler's sweep rows as a JSON array.
-fn scaling_rows_json(rows: &[ScaleRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "\n      {{\"threads\": {}, \"best_seconds\": {:.6}, \"geps\": {:.4}, \
-             \"efficiency\": {:.4}, \"cross_pair_hit_rate\": {:.4}, \
-             \"cross_pair_hit_min\": {:.4}, \"cross_pair_hit_max\": {:.4}, \
-             \"prefix_hit_rate\": {:.4}}}{}",
-            r.workers,
-            r.best_seconds,
-            r.geps,
-            r.efficiency,
-            r.cross_pair_hit_rate,
-            r.cross_pair_hit_min,
-            r.cross_pair_hit_max,
-            r.prefix_hit_rate,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("\n    ]");
-    out
-}
-
-/// Time the deep-prefix fill (`epi_core::simd::fill_prefix_cache`) on
-/// every available tier over `words`-word streams: best-of-5 passes of
-/// 3 × 9 parent fills (one depth-3 rebuild of an order-4 prefix cache),
-/// reported in nanoseconds per filled word. Scalar first.
-fn bench_prefix_fill(words: usize) -> Vec<(bitgenome::SimdLevel, f64)> {
-    use epi_core::simd::fill_prefix_cache;
-    const PARENTS: usize = 9; // depth-3 rebuild: 9 parents x 3 children
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state
-    };
-    let parents: Vec<u64> = (0..PARENTS * words).map(|_| next()).collect();
-    let p0: Vec<u64> = (0..words).map(|_| next()).collect();
-    let p1: Vec<u64> = (0..words).map(|_| next()).collect();
-    let mut out = vec![0u64; 3 * words];
-    let mut sink = 0u32;
-    let mut results = Vec::new();
-    for level in bitgenome::SimdLevel::available() {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            for s in 0..PARENTS {
-                let mut counts = [0u32; 3];
-                fill_prefix_cache(
-                    level,
-                    &parents[s * words..(s + 1) * words],
-                    &p0,
-                    &p1,
-                    &mut out,
-                    &mut counts,
-                );
-                sink = sink.wrapping_add(counts[0]);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            best = best.min(secs * 1e9 / (PARENTS * words) as f64);
-        }
-        results.push((level, best));
-    }
-    std::hint::black_box(sink);
-    results
-}
-
 fn cmd_devices() -> Result<(), String> {
     println!("Table I CPUs:");
     for d in devices::CpuDevice::table1() {
@@ -1712,6 +851,9 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(run(&s(&["frobnicate"])).is_err());
+        // the in-CLI bench harness is gone; benchmark/ is the yardstick
+        let err = run(&s(&["bench"])).unwrap_err();
+        assert!(err.contains("unknown command"), "{err}");
         assert!(run(&[]).is_err());
     }
 
@@ -1750,61 +892,6 @@ mod tests {
         assert!(parse_version_name("v6").is_err());
         // default is the fastest bit-identical kernel
         assert_eq!(parse_version(&s(&["x.epi3"])).unwrap(), Version::V5);
-    }
-
-    #[test]
-    fn bench_subcommand_writes_json() {
-        let path = std::env::temp_dir().join("epi3_bench_test.json");
-        let path_s = path.to_str().unwrap().to_string();
-        run(&s(&[
-            "bench",
-            "--snps",
-            "16",
-            "--samples",
-            "128",
-            "--trials",
-            "1",
-            // keep the sweep tiny: debug-mode tests cannot afford the
-            // timeslice-scale default sample dimension
-            "--scale-samples",
-            "2048",
-            "--scale-threads",
-            "1,2",
-            "--out",
-            &path_s,
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"V5\""));
-        assert!(text.contains("speedup_v5_over_v4"));
-        assert!(text.contains("\"pair_cache\""));
-        assert!(text.contains("\"hit_rate\""));
-        // adaptive-budget + deep-prefix fill reporting (PR 4)
-        assert!(text.contains("\"cache_budget\""));
-        assert!(text.contains("\"budget_bytes\""));
-        assert!(text.contains("\"prefix_fill_ns_per_word\""));
-        assert!(text.contains("\"scalar\""));
-        // parallel scaling block (PR 5): both schedulers + the model
-        assert!(text.contains("\"scaling\""));
-        assert!(text.contains("\"thread_counts\""));
-        assert!(text.contains("\"chunk1\""));
-        assert!(text.contains("\"run_aware\""));
-        assert!(text.contains("\"cross_pair_hit_rate\""));
-        assert!(text.contains("\"model\""));
-        // federation block (PR 6): loopback fleet rows + steal latency
-        assert!(text.contains("\"federation\""));
-        assert!(text.contains("\"nodes\": 1"));
-        assert!(text.contains("\"nodes\": 2"));
-        assert!(text.contains("\"nodes\": 4"));
-        assert!(text.contains("\"steal_latency_ms\""));
-        // recovery block (PR 7): robustness-machinery cost figures
-        assert!(text.contains("\"federation_recovery\""));
-        assert!(text.contains("\"hash_verify_ms\""));
-        assert!(text.contains("\"fresh_seconds\""));
-        assert!(text.contains("\"resume_seconds\""));
-        assert!(text.contains("\"resumed_merged\""));
-        assert!(text.contains("\"readmission_ms\""));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1896,19 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_thread_counts_parsing() {
-        assert_eq!(
-            scale_thread_counts(&s(&["--scale-threads", "1,3,9"])).unwrap(),
-            vec![1, 3, 9]
-        );
-        assert!(scale_thread_counts(&s(&["--scale-threads", "1,0"])).is_err());
-        assert!(scale_thread_counts(&s(&["--scale-threads", "two"])).is_err());
-        // default always carries at least three counts, starting at 1
-        let d = scale_thread_counts(&[]).unwrap();
-        assert!(d.len() >= 3 && d[0] == 1 && d.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn threads_env_override_applies_when_flag_absent() {
         // flag wins over env; env wins over default; default unified on 0
         let flag = s(&["x.epi3", "--threads", "5"]);
@@ -1952,36 +1026,6 @@ mod tests {
         .unwrap();
         // unknown tiers fail cleanly
         assert!(run(&s(&["scan", path_s, "--simd", "sse9"])).is_err());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn bench_respects_forced_simd_tier() {
-        // A forced tier must run (clamped if unavailable) and still
-        // produce bit-identical results — the consistency check inside
-        // cmd_bench fails the run otherwise.
-        let path = std::env::temp_dir().join("epi3_bench_scalar_test.json");
-        let path_s = path.to_str().unwrap().to_string();
-        run(&s(&[
-            "bench",
-            "--snps",
-            "14",
-            "--samples",
-            "96",
-            "--trials",
-            "1",
-            "--scale-samples",
-            "2048",
-            "--scale-threads",
-            "1,2",
-            "--simd",
-            "scalar",
-            "--out",
-            &path_s,
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"simd\": \"scalar\""));
         let _ = std::fs::remove_file(path);
     }
 

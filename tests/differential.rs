@@ -259,9 +259,8 @@ fn differential_matrix_is_bit_identical_to_scalar() {
     }
 }
 
-/// The PR 5 axis: thread-count and scheduler invariance of the blocked
-/// V5 path with the cross-pair cache enabled. For every tier × worker
-/// count × scheduler (run-aware and the chunk-1 baseline) the **entire
+/// The PR 5 axis: thread-count invariance of the blocked V5 path with
+/// the cross-pair cache enabled. For every tier × worker count the **entire
 /// score surface** must be bit-identical to the single-threaded scalar
 /// reference: `top_k` is set to `C(m, 3)`, so the comparison covers every
 /// combination's score and triple, not just the winners — a wrong cell
@@ -269,12 +268,12 @@ fn differential_matrix_is_bit_identical_to_scalar() {
 #[test]
 fn blocked_v5_is_thread_and_scheduler_invariant() {
     use threeway_epistasis::epi_core::scan::{
-        scan_split, scan_split_with_workers, ScanConfig, Scheduler, Version,
+        scan_split, scan_split_with_workers, ScanConfig, Version,
     };
 
     let threads = threads_under_test();
     println!(
-        "thread invariance: tiers {:?} x workers {threads:?} x schedulers [run-aware, chunk-1]",
+        "thread invariance: tiers {:?} x workers {threads:?}",
         tiers_under_test()
             .iter()
             .map(|l| l.token())
@@ -297,46 +296,36 @@ fn blocked_v5_is_thread_and_scheduler_invariant() {
 
         for level in tiers_under_test() {
             for &workers in &threads {
-                for scheduler in [Scheduler::Pool, Scheduler::PoolChunk1] {
-                    let repro = Repro {
-                        m,
-                        n,
-                        seed,
-                        simd: level,
-                        order: 3,
-                        budget: None,
-                    };
-                    let mut cfg = ScanConfig::new(Version::V5);
-                    cfg.top_k = all;
-                    cfg.simd = Some(level);
-                    cfg.scheduler = scheduler;
-                    // exact worker counts (not host-clamped): >1 worker
-                    // must interleave for real even on small CI boxes
-                    let (res, stats) = scan_split_with_workers(&ds, &cfg, workers);
+                let repro = Repro {
+                    m,
+                    n,
+                    seed,
+                    simd: level,
+                    order: 3,
+                    budget: None,
+                };
+                let mut cfg = ScanConfig::new(Version::V5);
+                cfg.top_k = all;
+                cfg.simd = Some(level);
+                // exact worker counts (not host-clamped): >1 worker
+                // must interleave for real even on small CI boxes
+                let (res, stats) = scan_split_with_workers(&ds, &cfg, workers);
+                assert_eq!(res.top.len(), want.len(), "{repro} workers={workers}");
+                for (a, b) in res.top.iter().zip(&want) {
+                    assert_eq!(a.triple, b.triple, "{repro} workers={workers}");
                     assert_eq!(
-                        res.top.len(),
-                        want.len(),
-                        "{repro} workers={workers} {scheduler:?}"
-                    );
-                    for (a, b) in res.top.iter().zip(&want) {
-                        assert_eq!(
-                            a.triple, b.triple,
-                            "{repro} workers={workers} {scheduler:?}"
-                        );
-                        assert_eq!(
-                            a.score.to_bits(),
-                            b.score.to_bits(),
-                            "{repro} workers={workers} {scheduler:?}: score must be bit-identical"
-                        );
-                    }
-                    // the cache was actually exercised (the invariance
-                    // must not be vacuous) and every task consulted it
-                    let stats = stats.expect("V5 reports cross-pair stats");
-                    assert!(
-                        stats.hits() + stats.misses() > 0,
-                        "{repro}: cross-pair cache never consulted"
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "{repro} workers={workers}: score must be bit-identical"
                     );
                 }
+                // the cache was actually exercised (the invariance
+                // must not be vacuous) and every task consulted it
+                let stats = stats.expect("V5 reports cross-pair stats");
+                assert!(
+                    stats.hits() + stats.misses() > 0,
+                    "{repro}: cross-pair cache never consulted"
+                );
             }
         }
     }
