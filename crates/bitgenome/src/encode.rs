@@ -10,10 +10,157 @@
 //!   stored per class, and plane 2 is reconstructed with `NOR` inside the
 //!   kernel. This cuts memory traffic by ≈ 1/3 and removes the phenotype
 //!   stream from the hot loop entirely.
+//!
+//! ## How the planes are built
+//!
+//! Every encoder is the same three steps, 64 samples at a time and with
+//! no branch on a genotype:
+//!
+//! 1. **Pack.** [`pack_bit_pairs`] turns 64 dense bytes into the bit-0
+//!    and bit-1 planes of their values, eight bytes per multiply; for
+//!    genotypes those are planes 1 and 2, and plane 0 is their `NOR`.
+//!    [`UnsplitDataset`] and [`Phenotype::to_bits`] stop here.
+//! 2. **Compress by phenotype word.** A split class keeps only its own
+//!    samples, so each packed word is bit-compressed under the class's
+//!    sample mask for that word. The masks of the log₂ 64 = 6 compress
+//!    rounds depend on the phenotype word alone — not on the SNP, not on
+//!    the genotype — so they are computed once per phenotype word (a
+//!    `Lane`) and reused for all `M` SNPs and both planes: a class's
+//!    `2·M` compressions of that word share one set of move masks.
+//! 3. **Append.** The compressed bits go to the class's plane at a
+//!    running bit offset (the number of class members in earlier words,
+//!    also fixed per lane), spilling into the next word when they cross
+//!    a boundary.
+//!
+//! Planes start zeroed and only kept samples are ever written, so every
+//! bit past a class's last sample is **zero**. Kernels rely on that:
+//! `NOR` turns exactly those pad bits into phantom genotype-2 samples,
+//! and [`ClassPlanes::pad_bits`] is the count they subtract.
 
 use crate::matrix::{GenotypeMatrix, Phenotype};
-use crate::word::{pad_bits, set_bit, words_for, Word};
+use crate::word::{pack_bit_pairs, pack_low_bits, pad_bits, tail_mask, words_for, Word, WORD_BITS};
 use crate::{CASE, CTRL, GENOTYPES};
+
+/// `log2(WORD_BITS)`: the number of halving rounds of a bit-compress.
+const COMPRESS_ROUNDS: usize = WORD_BITS.trailing_zeros() as usize;
+
+/// How one 64-sample word of the full sample set feeds one class's
+/// stream: which of its samples belong to the class, the moves that
+/// compact exactly those bits to the low end of a word, and the bit
+/// offset in the class's planes where they are appended. All of it
+/// depends on the phenotype word only, so a lane is built once and reused
+/// for every SNP and both genotype planes.
+struct Lane {
+    keep: Word,
+    /// Round `r` moves the bits under `moves[r]` right by `1 << r`
+    /// (the parallel-suffix compress of Hacker's Delight §7-4).
+    moves: [Word; COMPRESS_ROUNDS],
+    offset: usize,
+}
+
+impl Lane {
+    fn new(keep: Word, offset: usize) -> Self {
+        let mut moves = [0; COMPRESS_ROUNDS];
+        let mut kept = keep;
+        // Bits with an odd number of dropped positions below them move
+        // by 1, then those with an odd number of dropped *pairs* by 2, …
+        let mut dropped_below = !keep << 1;
+        for (round, mv) in moves.iter_mut().enumerate() {
+            let mut parity = dropped_below;
+            for step in 0..COMPRESS_ROUNDS {
+                parity ^= parity << (1 << step);
+            }
+            *mv = parity & kept;
+            kept = (kept ^ *mv) | (*mv >> (1 << round));
+            dropped_below &= !parity;
+        }
+        Self {
+            keep,
+            moves,
+            offset,
+        }
+    }
+
+    /// One lane per word of `keep`, offsets running; also the class size.
+    fn plan(keep: &[Word]) -> (Vec<Lane>, usize) {
+        let mut offset = 0;
+        let lanes = keep
+            .iter()
+            .map(|&k| {
+                let lane = Lane::new(k, offset);
+                offset += k.count_ones() as usize;
+                lane
+            })
+            .collect();
+        (lanes, offset)
+    }
+
+    /// The kept bits of `plane`, contiguous from bit 0.
+    #[inline]
+    fn compress(&self, plane: Word) -> Word {
+        let mut x = plane & self.keep;
+        for (round, &mv) in self.moves.iter().enumerate() {
+            let moved = x & mv;
+            x = (x ^ moved) | (moved >> (1 << round));
+        }
+        x
+    }
+
+    /// Append the kept bits of `plane` to `stream` at this lane's offset.
+    /// `stream` must be zero from the offset on, which appending lanes in
+    /// order guarantees.
+    #[inline]
+    fn append(&self, plane: Word, stream: &mut [Word]) {
+        if self.keep == 0 {
+            // Nothing to add, and the offset may be one past the stream.
+            return;
+        }
+        let bits = self.compress(plane);
+        let (word, shift) = (self.offset / WORD_BITS, self.offset % WORD_BITS);
+        stream[word] |= bits << shift;
+        // What does not fit in `word`; two shifts because `shift` may be 0.
+        let spill = (bits >> 1) >> (WORD_BITS - 1 - shift);
+        if spill != 0 {
+            stream[word + 1] |= spill;
+        }
+    }
+}
+
+/// The packer behind every split encoding: one pass over the dense
+/// matrix that packs each 64-sample word once and appends its genotype-0
+/// and genotype-1 bits to each of the `C` classes selected by the packed
+/// sample masks `keep` (pad bits zero).
+fn encode_classes<const C: usize>(matrix: &GenotypeMatrix, keep: [&[Word]; C]) -> [ClassPlanes; C] {
+    let m = matrix.num_snps();
+    for mask in keep {
+        assert_eq!(mask.len(), words_for(matrix.num_samples()));
+    }
+    let plans = keep.map(Lane::plan);
+    let mut classes = plans.each_ref().map(|&(_, n_samples)| {
+        let words = words_for(n_samples);
+        ClassPlanes {
+            n_samples,
+            words,
+            data: vec![0; m * 2 * words],
+        }
+    });
+    for snp in 0..m {
+        let mut planes = classes.each_mut().map(|class| {
+            let words = class.words;
+            class.data[snp * 2 * words..(snp + 1) * 2 * words].split_at_mut(words)
+        });
+        for (w, chunk) in matrix.snp(snp).chunks(WORD_BITS).enumerate() {
+            let (g1, g2) = pack_bit_pairs(chunk);
+            // Bits past the chunk read as genotype 0; no lane keeps them.
+            let g0 = !(g1 | g2);
+            for ((lanes, _), (plane0, plane1)) in plans.iter().zip(&mut planes) {
+                lanes[w].append(g0, plane0);
+                lanes[w].append(g1, plane1);
+            }
+        }
+    }
+    classes
+}
 
 /// Packed planes for one phenotype class: genotype planes 0 and 1 for each
 /// SNP, laid out SNP-major (`[snp][genotype][word]`).
@@ -35,27 +182,9 @@ impl ClassPlanes {
     /// the samples where `keep` is true.
     pub fn encode(matrix: &GenotypeMatrix, keep: &[bool]) -> Self {
         assert_eq!(keep.len(), matrix.num_samples());
-        let kept: Vec<usize> = (0..keep.len()).filter(|&j| keep[j]).collect();
-        let n_samples = kept.len();
-        let words = words_for(n_samples);
-        let m = matrix.num_snps();
-        let mut data = vec![0 as Word; m * 2 * words];
-        for snp in 0..m {
-            let row = matrix.snp(snp);
-            let base = snp * 2 * words;
-            for (bit, &j) in kept.iter().enumerate() {
-                match row[j] {
-                    0 => set_bit(&mut data[base..base + words], bit),
-                    1 => set_bit(&mut data[base + words..base + 2 * words], bit),
-                    _ => {} // genotype 2 is implicit
-                }
-            }
-        }
-        Self {
-            n_samples,
-            words,
-            data,
-        }
+        let keep: Vec<u8> = keep.iter().map(|&k| u8::from(k)).collect();
+        let [class] = encode_classes(matrix, [&pack_low_bits(&keep)]);
+        class
     }
 
     /// Number of samples in this class.
@@ -123,11 +252,12 @@ impl UnsplitDataset {
         let words = words_for(n);
         let mut data = vec![0 as Word; m * GENOTYPES * words];
         for snp in 0..m {
-            let row = matrix.snp(snp);
-            let base = snp * GENOTYPES * words;
-            for (j, &g) in row.iter().enumerate() {
-                let plane = base + g as usize * words;
-                set_bit(&mut data[plane..plane + words], j);
+            let planes = &mut data[snp * GENOTYPES * words..(snp + 1) * GENOTYPES * words];
+            let (plane0, rest) = planes.split_at_mut(words);
+            let (plane1, plane2) = rest.split_at_mut(words);
+            for (w, chunk) in matrix.snp(snp).chunks(WORD_BITS).enumerate() {
+                (plane1[w], plane2[w]) = pack_bit_pairs(chunk);
+                plane0[w] = !(plane1[w] | plane2[w]) & tail_mask(chunk.len());
             }
         }
         Self {
@@ -212,11 +342,14 @@ impl SplitDataset {
     /// Encode a dense matrix, splitting samples by phenotype.
     pub fn encode(matrix: &GenotypeMatrix, phenotype: &Phenotype) -> Self {
         assert_eq!(matrix.num_samples(), phenotype.len());
-        let ctrl = ClassPlanes::encode(matrix, &phenotype.control_mask());
-        let case = ClassPlanes::encode(matrix, &phenotype.case_mask());
+        let case = phenotype.to_bits();
+        let mut ctrl: Vec<Word> = case.iter().map(|&w| !w).collect();
+        if let Some(last) = ctrl.last_mut() {
+            *last &= tail_mask(phenotype.len());
+        }
         Self {
             m: matrix.num_snps(),
-            classes: [ctrl, case],
+            classes: encode_classes(matrix, [&ctrl, &case]),
         }
     }
 

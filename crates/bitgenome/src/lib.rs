@@ -42,7 +42,7 @@ pub mod word;
 
 pub use encode::{ClassPlanes, SplitDataset, UnsplitDataset};
 pub use layout::{TiledPlanes, TransposedPlanes};
-pub use matrix::{GenotypeMatrix, Phenotype};
+pub use matrix::{GenotypeMatrix, InvalidDense, Phenotype};
 pub use pairstream::{add_pair_stream_counts, build_pair_streams, PAIR_STREAMS};
 pub use popcnt::SimdLevel;
 pub use word::{words_for, Word, WORD_BITS};

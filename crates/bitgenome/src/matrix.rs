@@ -5,7 +5,27 @@
 //! genotype keeps encoding simple and testable — the packed layouts are
 //! what the detection kernels actually touch.
 
-use crate::word::{set_bit, words_for, Word};
+use crate::word::{pack_low_bits, Word};
+use std::fmt;
+
+/// Why dense data was refused by [`GenotypeMatrix::try_from_raw`] or
+/// [`Phenotype::try_from_labels`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InvalidDense(&'static str);
+
+impl fmt::Display for InvalidDense {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for InvalidDense {}
+
+/// Largest byte of `values`. A fold with no early exit, so the one
+/// validation pass over a dataset runs at vector width.
+fn max_byte(values: &[u8]) -> u8 {
+    values.iter().fold(0, |max, &v| max.max(v))
+}
 
 /// A dense `M × N` genotype matrix: `M` SNPs (rows) by `N` samples
 /// (columns), each entry in `{0, 1, 2}`.
@@ -17,17 +37,29 @@ pub struct GenotypeMatrix {
 }
 
 impl GenotypeMatrix {
-    /// Create a matrix from row-major genotype data.
+    /// Create a matrix from row-major genotype data that came from
+    /// outside the program; this is the only place genotype values are
+    /// checked.
+    ///
+    /// # Errors
+    /// Refuses `data.len() != m * n` (or an `m * n` that overflows) and
+    /// any genotype outside `{0,1,2}`.
+    pub fn try_from_raw(m: usize, n: usize, data: Vec<u8>) -> Result<Self, InvalidDense> {
+        if m.checked_mul(n) != Some(data.len()) {
+            return Err(InvalidDense("genotype data must be M*N"));
+        }
+        if max_byte(&data) > 2 {
+            return Err(InvalidDense("genotype values must be 0, 1 or 2"));
+        }
+        Ok(Self { m, n, data })
+    }
+
+    /// [`GenotypeMatrix::try_from_raw`] for data the program built itself.
     ///
     /// # Panics
     /// Panics if `data.len() != m * n` or any genotype is outside `{0,1,2}`.
     pub fn from_raw(m: usize, n: usize, data: Vec<u8>) -> Self {
-        assert_eq!(data.len(), m * n, "genotype data must be M*N");
-        assert!(
-            data.iter().all(|&g| g <= 2),
-            "genotype values must be 0, 1 or 2"
-        );
-        Self { m, n, data }
+        Self::try_from_raw(m, n, data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// An all-zero (homozygous major) matrix.
@@ -115,14 +147,25 @@ pub struct Phenotype {
 }
 
 impl Phenotype {
-    /// Create from 0 (control) / 1 (case) labels.
+    /// Create from 0 (control) / 1 (case) labels that came from outside
+    /// the program.
+    ///
+    /// # Errors
+    /// Refuses any label outside `{0, 1}`.
+    pub fn try_from_labels(labels: Vec<u8>) -> Result<Self, InvalidDense> {
+        if max_byte(&labels) > 1 {
+            return Err(InvalidDense("phenotype must be 0 or 1"));
+        }
+        let n_cases = labels.iter().map(|&p| usize::from(p)).sum();
+        Ok(Self { labels, n_cases })
+    }
+
+    /// [`Phenotype::try_from_labels`] for labels the program built itself.
     ///
     /// # Panics
     /// Panics if any label is outside `{0, 1}`.
     pub fn from_labels(labels: Vec<u8>) -> Self {
-        assert!(labels.iter().all(|&p| p <= 1), "phenotype must be 0 or 1");
-        let n_cases = labels.iter().filter(|&&p| p == 1).count();
-        Self { labels, n_cases }
+        Self::try_from_labels(labels).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of samples.
@@ -164,13 +207,7 @@ impl Phenotype {
     /// Pack the labels into a bit vector (bit set ⇒ case), zero-padded to
     /// a whole number of [`Word`]s — the phenotype format of approach V1.
     pub fn to_bits(&self) -> Vec<Word> {
-        let mut bits = vec![0 as Word; words_for(self.labels.len())];
-        for (i, &p) in self.labels.iter().enumerate() {
-            if p == 1 {
-                set_bit(&mut bits, i);
-            }
-        }
-        bits
+        pack_low_bits(&self.labels)
     }
 
     /// Boolean mask selecting the case samples.
@@ -207,6 +244,15 @@ mod tests {
     #[should_panic(expected = "genotype values")]
     fn rejects_invalid_genotype() {
         GenotypeMatrix::from_raw(1, 1, vec![3]);
+    }
+
+    #[test]
+    fn fallible_constructors_refuse_instead_of_panicking() {
+        assert!(GenotypeMatrix::try_from_raw(2, 3, vec![0; 5]).is_err());
+        assert!(GenotypeMatrix::try_from_raw(usize::MAX, 2, vec![]).is_err());
+        assert!(GenotypeMatrix::try_from_raw(1, 2, vec![0, 3]).is_err());
+        assert!(Phenotype::try_from_labels(vec![0, 2]).is_err());
+        assert_eq!(GenotypeMatrix::try_from_raw(2, 3, tiny().data), Ok(tiny()));
     }
 
     #[test]

@@ -37,6 +37,62 @@ pub const fn pad_bits(n: usize) -> u32 {
     (words_for(n) * WORD_BITS - n) as u32
 }
 
+/// The low bit of each of the eight bytes of a `u64`.
+const BYTE_LSB: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplier that gathers the eight bits selected by [`BYTE_LSB`] into
+/// the top byte, lowest byte first: bit `8i` times `2^(7(8-i))` lands on
+/// bit `56 + i`, and no two of the 64 partial products share a position,
+/// so nothing carries.
+const GATHER_LSB: u64 = 0x0102_0408_1020_4080;
+
+/// Pack up to [`WORD_BITS`] dense byte values, each below 4, into two
+/// bit planes with one bit per value: `(low, high)` holds bit 0 and
+/// bit 1 of `values[i]` at position `i`. Bits past `values.len()` are
+/// zero.
+///
+/// This is the one dense → packed conversion of the crate, eight values
+/// per multiply and no branch on the data. For genotypes `low` is the
+/// genotype-1 plane, `high` the genotype-2 plane and `!(low | high)`,
+/// cut to the valid bits, the genotype-0 plane; for 0/1 phenotype labels
+/// `low` is the case mask.
+#[inline]
+pub fn pack_bit_pairs(values: &[u8]) -> (Word, Word) {
+    assert!(
+        values.len() <= WORD_BITS,
+        "one word packs at most 64 values"
+    );
+    let gather = |bytes: u64| (bytes & BYTE_LSB).wrapping_mul(GATHER_LSB) >> 56;
+    let (mut low, mut high) = (0, 0);
+    let mut groups = values.chunks_exact(8);
+    let mut shift = 0;
+    let mut push = |group: [u8; 8]| {
+        let bytes = u64::from_le_bytes(group);
+        low |= gather(bytes) << shift;
+        high |= gather(bytes >> 1) << shift;
+        shift += 8;
+    };
+    for group in &mut groups {
+        push(group.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    }
+    let rest = groups.remainder();
+    if !rest.is_empty() {
+        let mut group = [0u8; 8];
+        group[..rest.len()].copy_from_slice(rest);
+        push(group);
+    }
+    (low, high)
+}
+
+/// Bit 0 of every value, one bit per value, zero-padded to whole words:
+/// the packed form of a 0/1 label or mask vector.
+pub fn pack_low_bits(values: &[u8]) -> Vec<Word> {
+    values
+        .chunks(WORD_BITS)
+        .map(|chunk| pack_bit_pairs(chunk).0)
+        .collect()
+}
+
 /// Set bit `i` in a packed bit slice.
 #[inline]
 pub fn set_bit(bits: &mut [Word], i: usize) {
@@ -79,6 +135,23 @@ mod tests {
             let pad = pad_bits(n);
             assert_eq!(pad as usize, words_for(n) * WORD_BITS - n);
             assert_eq!(tail_mask(n).count_ones() + pad, WORD_BITS as u32);
+        }
+    }
+
+    #[test]
+    fn pack_bit_pairs_matches_per_value_bits() {
+        let values: Vec<u8> = (0..WORD_BITS).map(|i| (i * 7 % 4) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 63, 64] {
+            let (low, high) = pack_bit_pairs(&values[..len]);
+            for (i, &v) in values.iter().enumerate() {
+                let present = i < len;
+                assert_eq!((low >> i) & 1 == 1, present && v & 1 == 1, "low {i}/{len}");
+                assert_eq!(
+                    (high >> i) & 1 == 1,
+                    present && v & 2 == 2,
+                    "high {i}/{len}"
+                );
+            }
         }
     }
 

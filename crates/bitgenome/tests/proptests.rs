@@ -1,7 +1,7 @@
 //! Property-based invariants of the bit-packed substrate.
 
 use bitgenome::layout::{RowMajorPlanes, SnpLayout, TiledPlanes, TransposedPlanes};
-use bitgenome::word::{get_bit, tail_mask};
+use bitgenome::word::{get_bit, tail_mask, words_for};
 use bitgenome::{
     ClassPlanes, GenotypeMatrix, Phenotype, SplitDataset, UnsplitDataset, Word, WORD_BITS,
 };
@@ -22,8 +22,113 @@ fn labelled_strategy() -> impl Strategy<Value = (GenotypeMatrix, Phenotype)> {
     })
 }
 
+/// The per-sample oracle for every encoder: each packed bit is compared
+/// with the dense matrix it came from (`rank` = position of sample `j`
+/// within its class), every plane has exactly the words its sample count
+/// needs, and every bit past the last sample is zero.
+fn assert_encodings_match_dense(g: &GenotypeMatrix, p: &Phenotype) {
+    let (m, n) = (g.num_snps(), g.num_samples());
+    let assert_plane = |plane: &[Word], members: &[usize], snp: usize, gt: u8, what: &str| {
+        assert_eq!(plane.len(), words_for(members.len()), "{what}: words");
+        for (rank, &j) in members.iter().enumerate() {
+            assert_eq!(
+                get_bit(plane, rank),
+                g.get(snp, j) == gt,
+                "{what}: snp {snp} genotype {gt} sample {j} (rank {rank}) of {m}x{n}"
+            );
+        }
+        if let Some(&last) = plane.last() {
+            assert_eq!(last & !tail_mask(members.len()), 0, "{what}: padding");
+        }
+    };
+
+    let split = SplitDataset::encode(g, p);
+    assert_eq!(split.num_snps(), m);
+    for class in 0..2 {
+        let members: Vec<usize> = (0..n).filter(|&j| p.get(j) as usize == class).collect();
+        let cp = split.class(class);
+        assert_eq!(cp.num_samples(), members.len());
+        assert_eq!(cp.num_words(), words_for(members.len()));
+        assert_eq!(
+            cp.pad_bits() as usize,
+            cp.num_words() * WORD_BITS - members.len()
+        );
+        assert_eq!(cp.raw().len(), m * 2 * cp.num_words(), "[snp][g][word]");
+        for snp in 0..m {
+            for gt in 0..2 {
+                assert_plane(cp.plane(snp, gt), &members, snp, gt as u8, "split");
+            }
+        }
+    }
+
+    let everyone: Vec<usize> = (0..n).collect();
+    let unsplit = UnsplitDataset::encode(g, p);
+    assert_eq!(unsplit.num_cases(), p.num_cases());
+    for snp in 0..m {
+        for gt in 0..3 {
+            assert_plane(unsplit.plane(snp, gt), &everyone, snp, gt as u8, "unsplit");
+        }
+    }
+
+    let bits = p.to_bits();
+    assert_eq!(unsplit.phenotype(), &bits[..]);
+    assert_eq!(bits.len(), words_for(n));
+    for j in 0..n {
+        assert_eq!(
+            get_bit(&bits, j),
+            p.get(j) == 1,
+            "to_bits sample {j} of {n}"
+        );
+    }
+    if let Some(&last) = bits.last() {
+        assert_eq!(last & !tail_mask(n), 0, "to_bits padding");
+    }
+}
+
+/// Every shape where the word-at-a-time encoder changes behaviour — empty,
+/// one bit, one short of / exactly / one past a word, the same around two
+/// words — crossed with phenotypes that leave a class empty, interleave
+/// the classes, put a lone case in the last word, or end a class exactly
+/// on and one past a word boundary.
+#[test]
+fn encoders_match_dense_oracle_on_edge_shapes() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut check = |m: usize, n: usize, label: &dyn Fn(usize) -> u8| {
+        let data = (0..m * n).map(|_| (next() % 3) as u8).collect();
+        let g = GenotypeMatrix::from_raw(m, n, data);
+        let p = Phenotype::from_labels((0..n).map(label).collect());
+        assert_encodings_match_dense(&g, &p);
+    };
+    for m in [0, 1, 3] {
+        for n in [0, 1, 63, 64, 65, 127, 128, 129, 193] {
+            check(m, n, &|_| 0); // all control
+            check(m, n, &|_| 1); // all case
+            check(m, n, &|j| (j % 2) as u8); // alternating
+            check(m, n, &|j| u8::from(j + 1 == n)); // one case, in the last word
+            check(m, n, &|j| u8::from(j != 0)); // one control, in the first
+            for class_size in [64, 65, 128] {
+                // interleaved: the first `class_size` even samples are cases
+                check(m, n, &|j| u8::from(j % 2 == 0 && j / 2 < class_size));
+                // contiguous: the first `class_size` samples are controls
+                check(m, n, &|j| u8::from(j >= class_size));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn encoders_match_dense_oracle((g, p) in labelled_strategy()) {
+        assert_encodings_match_dense(&g, &p);
+    }
 
     #[test]
     fn unsplit_encode_decode_roundtrip((g, p) in labelled_strategy()) {

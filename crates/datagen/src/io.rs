@@ -16,6 +16,13 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"EPI3";
 
+/// Magic, then `M` and `N` as little-endian `u64`.
+const HEADER_LEN: usize = 4 + 8 + 8;
+
+fn invalid_data<E: Into<Box<dyn std::error::Error + Send + Sync>>>(e: E) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
 /// Write a dataset in text format.
 pub fn write_text<W: Write>(
     w: W,
@@ -60,50 +67,29 @@ pub fn read_text<R: Read>(r: R) -> io::Result<(GenotypeMatrix, Phenotype)> {
         let row: Result<Vec<u8>, _> = trimmed
             .split(',')
             .map(|tok| {
-                tok.trim().parse::<u8>().map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad value {tok:?}: {e}"),
-                    )
-                })
+                tok.trim()
+                    .parse::<u8>()
+                    .map_err(|e| invalid_data(format!("bad value {tok:?}: {e}")))
             })
             .collect();
         rows.push(row?);
     }
     if rows.len() < 2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+        return Err(invalid_data(
             "need at least one SNP row and a phenotype row",
         ));
     }
     let n = rows[0].len();
     if rows.iter().any(|r| r.len() != n) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+        return Err(invalid_data(
             "ragged rows: all rows must have the same sample count",
         ));
     }
-    let phen_row = rows.pop().unwrap();
-    if phen_row.iter().any(|&p| p > 1) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "phenotype row may only contain 0/1",
-        ));
-    }
+    let phen_row = rows.pop().expect("at least two rows");
     let m = rows.len();
-    let mut data = Vec::with_capacity(m * n);
-    for row in &rows {
-        if row.iter().any(|&g| g > 2) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "genotypes may only be 0/1/2",
-            ));
-        }
-        data.extend_from_slice(row);
-    }
     Ok((
-        GenotypeMatrix::from_raw(m, n, data),
-        Phenotype::from_labels(phen_row),
+        GenotypeMatrix::try_from_raw(m, n, rows.concat()).map_err(invalid_data)?,
+        Phenotype::try_from_labels(phen_row).map_err(invalid_data)?,
     ))
 }
 
@@ -122,36 +108,79 @@ pub fn write_binary<W: Write>(
     w.flush()
 }
 
-/// Read a dataset in the compact binary format.
-pub fn read_binary<R: Read>(r: R) -> io::Result<(GenotypeMatrix, Phenotype)> {
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// The sizes a binary header declares. Nothing is allocated from them
+/// until [`from_payload`] has compared them with the bytes present.
+struct Shape {
+    m: usize,
+    n: usize,
+    /// `m * n`, known not to overflow — nor does `m * n + n`.
+    genotypes: usize,
+}
+
+impl Shape {
+    /// Parse the `M` and `N` fields that follow the magic.
+    fn parse(fields: &[u8]) -> io::Result<Self> {
+        let Some(fields) = fields.get(..HEADER_LEN - MAGIC.len()) else {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "truncated EPI3 header",
+            ));
+        };
+        let field = |at: usize| {
+            let bytes = fields[at..at + 8].try_into().expect("8-byte header field");
+            usize::try_from(u64::from_le_bytes(bytes)).ok()
+        };
+        let checked = || {
+            let (m, n) = (field(0)?, field(8)?);
+            let genotypes = m.checked_mul(n)?;
+            genotypes.checked_add(n)?;
+            Some(Self { m, n, genotypes })
+        };
+        checked().ok_or_else(|| invalid_data("EPI3 header declares an impossible size"))
+    }
+
+    fn payload_len(&self) -> usize {
+        self.genotypes + self.n
+    }
+}
+
+/// Split a payload into genotypes and labels and validate both, once.
+/// Bytes past the declared payload are ignored.
+fn from_payload(shape: Shape, mut payload: Vec<u8>) -> io::Result<(GenotypeMatrix, Phenotype)> {
+    if payload.len() < shape.payload_len() {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an EPI3 binary dataset",
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "EPI3 header declares {} x {} genotypes but only {} payload bytes follow",
+                shape.m,
+                shape.n,
+                payload.len()
+            ),
         ));
     }
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    let m = u64::from_le_bytes(buf) as usize;
-    r.read_exact(&mut buf)?;
-    let n = u64::from_le_bytes(buf) as usize;
-    let mut data = vec![0u8; m * n];
-    r.read_exact(&mut data)?;
-    let mut labels = vec![0u8; n];
-    r.read_exact(&mut labels)?;
-    if data.iter().any(|&g| g > 2) || labels.iter().any(|&p| p > 1) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "corrupt dataset payload",
-        ));
-    }
+    payload.truncate(shape.payload_len());
+    let labels = payload.split_off(shape.genotypes);
     Ok((
-        GenotypeMatrix::from_raw(m, n, data),
-        Phenotype::from_labels(labels),
+        GenotypeMatrix::try_from_raw(shape.m, shape.n, payload).map_err(invalid_data)?,
+        Phenotype::try_from_labels(labels).map_err(invalid_data)?,
     ))
+}
+
+/// Read a dataset in the compact binary format. Reads the header and the
+/// payload it declares, no further; memory grows with the bytes that
+/// arrive, not with what the header claims.
+pub fn read_binary<R: Read>(mut r: R) -> io::Result<(GenotypeMatrix, Phenotype)> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header[..MAGIC.len()])?;
+    if !header.starts_with(MAGIC) {
+        return Err(invalid_data("not an EPI3 binary dataset"));
+    }
+    r.read_exact(&mut header[MAGIC.len()..])?;
+    let shape = Shape::parse(&header[MAGIC.len()..])?;
+    let mut payload = Vec::new();
+    r.take(shape.payload_len() as u64)
+        .read_to_end(&mut payload)?;
+    from_payload(shape, payload)
 }
 
 /// Convenience: write a [`Dataset`] as text to `path`.
@@ -166,9 +195,11 @@ pub fn save_binary<P: AsRef<Path>>(path: P, d: &Dataset) -> io::Result<()> {
 
 /// Convenience: load either format from `path`, sniffing the magic bytes.
 pub fn load<P: AsRef<Path>>(path: P) -> io::Result<(GenotypeMatrix, Phenotype)> {
-    let bytes = std::fs::read(path)?;
+    let mut bytes = std::fs::read(path)?;
     if bytes.starts_with(MAGIC) {
-        read_binary(&bytes[..])
+        let shape = Shape::parse(&bytes[MAGIC.len()..])?;
+        bytes.drain(..HEADER_LEN);
+        from_payload(shape, bytes)
     } else {
         read_text(&bytes[..])
     }
@@ -208,6 +239,67 @@ mod tests {
     fn binary_rejects_bad_magic() {
         let err = read_binary(&b"NOPE............"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// An `EPI3` header declaring `m` x `n`, followed by `payload`.
+    fn binary_file(m: u64, n: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(m.to_le_bytes());
+        bytes.extend(n.to_le_bytes());
+        bytes.extend(payload);
+        bytes
+    }
+
+    /// Both entry points on the same bytes: the reader and the file loader.
+    fn read_both(tag: &str, bytes: &[u8]) -> [io::Result<(GenotypeMatrix, Phenotype)>; 2] {
+        let path = std::env::temp_dir().join(format!("epi3_io_{tag}_{}.epi3", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = load(&path);
+        let _ = std::fs::remove_file(path);
+        [read_binary(bytes), loaded]
+    }
+
+    #[test]
+    fn binary_rejects_headers_whose_size_overflows() {
+        // M*N wraps to 0 in 64 bits; M*N fits but M*N + N does not
+        for (tag, m, n) in [("wrap", 1 << 32, 1 << 32), ("add", 1, u64::MAX)] {
+            for r in read_both(tag, &binary_file(m, n, &[])) {
+                assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData);
+            }
+        }
+    }
+
+    #[test]
+    fn binary_rejects_oversized_header_without_allocating_it() {
+        // the 20-byte file that used to abort the process: 1 x 2^62
+        for r in read_both("oversized", &binary_file(1, 1 << 62, &[])) {
+            assert_eq!(r.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        }
+    }
+
+    #[test]
+    fn binary_rejects_truncated_header_and_payload() {
+        let (g, p) = demo();
+        let mut whole = Vec::new();
+        write_binary(&mut whole, &g, &p).unwrap();
+        for cut in [MAGIC.len(), HEADER_LEN - 1, HEADER_LEN, whole.len() - 1] {
+            for r in read_both("truncated", &whole[..cut]) {
+                assert_eq!(
+                    r.unwrap_err().kind(),
+                    io::ErrorKind::UnexpectedEof,
+                    "cut {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn binary_rejects_bad_payload_values() {
+        for payload in [[0, 3, 0, 1], [0, 1, 0, 2]] {
+            for r in read_both("values", &binary_file(1, 2, &payload)) {
+                assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData);
+            }
+        }
     }
 
     #[test]

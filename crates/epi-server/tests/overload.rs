@@ -309,3 +309,45 @@ fn wait_reports_a_transport_classified_timeout_on_a_stalled_job() {
     client.wait(job.id, IO_DEADLINE).expect("cancel settles");
     handle.shutdown();
 }
+
+#[test]
+fn crafted_header_is_refused_and_its_admission_rolled_back() {
+    // 20 bytes that stat as a tiny file but declare 1 x 2^62 genotypes:
+    // allocating what the header claims would abort the whole server
+    let path = write_dataset("crafted-header");
+    let good = std::fs::read(&path).unwrap();
+    let mut crafted = b"EPI3".to_vec();
+    crafted.extend(1u64.to_le_bytes());
+    crafted.extend((1u64 << 62).to_le_bytes());
+    std::fs::write(&path, &crafted).unwrap();
+
+    let (addr, handle) = start_server(EngineConfig {
+        workers: 1,
+        mem_budget: Some(1 << 30),
+        ..EngineConfig::default()
+    });
+    let mut client = Client::connect_with_deadline(addr, IO_DEADLINE).expect("connect");
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 4;
+    spec.job_token = Some("crafted-header-token".to_string());
+    let err = client
+        .submit(&spec)
+        .expect_err("crafted header must be refused");
+    assert!(err.contains("cannot read dataset"), "{err}");
+
+    // the server survived, and nothing stays charged or reserved
+    client.ping().expect("PING after the refusal");
+    let (mem_used, _, _, queue_depth, _) = client.stats_governance().expect("STATS parses");
+    assert_eq!(mem_used, 0, "the refused job's reservation was released");
+    assert_eq!(queue_depth, 0);
+
+    // the token was released too: once the file is repaired, the same
+    // token admits a fresh job instead of answering "mid-admission"
+    std::fs::write(&path, &good).unwrap();
+    let admitted = client.submit(&spec).expect("retry with the same token");
+    let done = client
+        .wait(admitted.id, IO_DEADLINE)
+        .expect("retried job completes");
+    assert_eq!(done.state, JobState::Done);
+    handle.shutdown();
+}
