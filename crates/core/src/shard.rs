@@ -722,9 +722,14 @@ impl ShardSet {
                     if hi < lo {
                         return Err(bad());
                     }
-                    set.insert_range(lo..hi + 1);
+                    // bounds are inclusive on the wire: u64::MAX has no
+                    // half-open form, and the text comes from a peer
+                    set.insert_range(lo..hi.checked_add(1).ok_or_else(bad)?);
                 }
-                None => set.insert(part.parse().map_err(|_| bad())?),
+                None => {
+                    let i: u64 = part.parse().map_err(|_| bad())?;
+                    set.insert_range(i..i.checked_add(1).ok_or_else(bad)?);
+                }
             }
         }
         Ok(set)
@@ -950,6 +955,10 @@ mod tests {
         assert!(ShardSet::parse_compact("3-1").is_err());
         assert!(ShardSet::parse_compact("a-b").is_err());
         assert!(ShardSet::parse_compact("1,,2").is_err());
+        // the largest index has no half-open range: an error, not an
+        // overflow (the text arrives from a peer as `have=`)
+        assert!(ShardSet::parse_compact("18446744073709551615").is_err());
+        assert!(ShardSet::parse_compact("3-18446744073709551615").is_err());
     }
 
     #[test]

@@ -1,5 +1,25 @@
 //! The federation coordinator: partition one plan, submit per-node
-//! sub-jobs, poll, steal, spool checkpoints, and merge bit-exactly.
+//! sub-jobs, wait, harvest, steal, spool checkpoints, and merge
+//! bit-exactly.
+//!
+//! ## What a tick costs
+//!
+//! The loop does not poll. A tick writes `WAIT <job> done>=<harvested
+//! so far>+1` to every node with a live sub-job — all of them before
+//! reading the first reply — and blocks until each has answered: with
+//! news (a shard landed, the job went stable) or, after
+//! `min(rpc_deadline / 2, steal_patience)`, without. The status that
+//! comes back is gated on `dataset_hash` exactly as a polled one was,
+//! and only then is the node harvested, with `PARTIAL <job> have=<what
+//! was already merged from it>`: each shard's list is cloned,
+//! formatted, framed, parsed and merged once. Requests are therefore
+//! linear in shards (at most one `WAIT` + one `PARTIAL` per shard, one
+//! `SUBMIT` per sub-job; [`FederationReport::rpcs`] and
+//! [`FederationReport::harvested_shards`] report the actual numbers),
+//! and between shards the coordinator and the nodes' event loops are
+//! asleep, which on a small host is CPU the scan gets back. The one
+//! sleep left in this file paces ticks that had nothing to wait on
+//! (`IDLE_PACE`).
 //!
 //! Robustness posture (PR 7): every failure the fleet can throw at the
 //! coordinator has an explicit, tested answer —
@@ -20,7 +40,8 @@ use crate::checkpoint::{CheckpointAssignment, FederationCheckpoint};
 use crate::node::{is_transport_error, NodeHandle};
 use epi_core::result::{Candidate, TopK};
 use epi_core::shard::ShardSet;
-use epi_server::{JobSpec, JobState, RealSpoolFs};
+use epi_server::{Client, JobSpec, JobState, JobStatus, RealSpoolFs};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -41,11 +62,8 @@ pub struct FederationConfig {
     pub steal_patience: Duration,
     /// How long to wait for a cancelled straggler to quiesce (in-flight
     /// shards landing) before harvesting and resubmitting its backlog.
+    /// One parked `WAIT`, so also bounded by half of `rpc_deadline`.
     pub steal_quiesce: Duration,
-    /// Poll-loop sleep bounds: exponential backoff from floor to cap,
-    /// reset whenever any node reports progress.
-    pub poll_floor: Duration,
-    pub poll_cap: Duration,
     /// Probation probe bounds: a dead node is re-PINGed on exponential
     /// backoff from floor to cap until it answers (re-admission) or the
     /// run ends.
@@ -74,8 +92,6 @@ impl FederationConfig {
             max_rpc_failures: 3,
             steal_patience: Duration::from_millis(150),
             steal_quiesce: Duration::from_secs(2),
-            poll_floor: Duration::from_millis(1),
-            poll_cap: Duration::from_millis(50),
             probe_floor: Duration::from_millis(50),
             probe_cap: Duration::from_secs(2),
             overall_deadline: Duration::from_secs(600),
@@ -146,6 +162,15 @@ pub struct FederationReport {
     /// Shards adopted from a checkpoint instead of being rescanned
     /// (zero on a fresh run).
     pub resumed_merged: u64,
+    /// Requests the coordinator sent, per verb, sorted by verb — what
+    /// the run cost the fleet's event loops. A healthy run is one
+    /// SUBMIT per sub-job plus a `WAIT` and a `PARTIAL` per harvest;
+    /// probation PINGs are not counted.
+    pub rpcs: Vec<(&'static str, u64)>,
+    /// Per-shard candidate lists received over `PARTIAL`, duplicates
+    /// included: `num_shards` on a clean run, more only when a steal
+    /// re-ran a shard that was mid-scan.
+    pub harvested_shards: u64,
     pub elapsed: Duration,
 }
 
@@ -232,6 +257,10 @@ struct Run<'a> {
     spooled: u64,
     /// Shards adopted from a checkpoint (resume runs only).
     resumed_merged: u64,
+    /// Requests sent so far, per verb ([`FederationReport::rpcs`]).
+    rpcs: BTreeMap<&'static str, u64>,
+    /// See [`FederationReport::harvested_shards`].
+    harvested_shards: u64,
     started: Instant,
 }
 
@@ -260,6 +289,8 @@ fn new_run<'a>(spec: JobSpec, cfg: &'a FederationConfig) -> Run<'a> {
         readmissions: Vec::new(),
         spooled: 0,
         resumed_merged: 0,
+        rpcs: BTreeMap::new(),
+        harvested_shards: 0,
         started: Instant::now(),
     }
 }
@@ -381,13 +412,21 @@ pub fn resume_from_spool(path: &Path, cfg: &FederationConfig) -> Result<Federati
     drive(run)
 }
 
-/// The poll loop shared by fresh and resumed runs: tick, spool, maybe
-/// crash (injection), finish or back off.
+/// Pace of a tick that neither moved anything nor spent its time parked
+/// on the fleet: every living node backpressured or in probation, or a
+/// harvest the node refused. Nothing to wait *on* there, so this is the
+/// one place the coordinator sleeps.
+const IDLE_PACE: Duration = Duration::from_millis(10);
+
+/// The loop shared by fresh and resumed runs: tick, spool, maybe crash
+/// (injection), finish or go again. A tick blocks inside the fleet's
+/// parked `WAIT`s, so the loop itself needs no sleep while any sub-job
+/// is live.
 fn drive(mut run: Run<'_>) -> Result<FederationReport, String> {
     let cfg = run.cfg;
     let num_shards = run.spec.shards;
-    let mut backoff = cfg.poll_floor;
     loop {
+        let began = Instant::now();
         let progressed = run.tick()?;
         // spool BEFORE the crash check: the injected crash models a
         // coordinator that died after its last checkpoint write, which
@@ -413,11 +452,10 @@ fn drive(mut run: Run<'_>) -> Result<FederationReport, String> {
                 run.started.elapsed()
             ));
         }
-        if progressed {
-            backoff = cfg.poll_floor;
-        } else {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.poll_cap);
+        if !progressed {
+            if let Some(rest) = IDLE_PACE.checked_sub(began.elapsed()) {
+                std::thread::sleep(rest);
+            }
         }
     }
 
@@ -447,11 +485,91 @@ fn drive(mut run: Run<'_>) -> Result<FederationReport, String> {
             })
             .collect(),
         resumed_merged: run.resumed_merged,
+        rpcs: run.rpcs.into_iter().collect(),
+        harvested_shards: run.harvested_shards,
         elapsed: run.started.elapsed(),
     })
 }
 
 impl Run<'_> {
+    /// One counted request to `node` (see [`FederationReport::rpcs`]).
+    fn rpc<T>(
+        &mut self,
+        node: usize,
+        verb: &'static str,
+        op: impl FnOnce(&mut Client) -> Result<T, String>,
+    ) -> Result<T, String> {
+        *self.rpcs.entry(verb).or_default() += 1;
+        self.nodes[node].rpc(op)
+    }
+
+    /// Status of every active sub-job, each asked with `WAIT
+    /// done>=<harvested>+1`: every request is written before the first
+    /// reply is read, so the whole fleet is parked at once and the call
+    /// returns when each node has something new, its job went stable,
+    /// or [`Run::park_time`] passed — one timeout, not one per node.
+    ///
+    /// A connection answers in order, so only the first `WAIT` on a
+    /// node parks; the node's other sub-jobs (a re-owned remainder
+    /// queued behind the first) are asked with a zero timeout. All
+    /// replies are in hand before this returns, so the caller is free
+    /// to send `PARTIAL` on the same connections.
+    ///
+    /// Once a node's connection fails, its remaining sub-jobs are left
+    /// out of this tick's answer: whatever was written to the old
+    /// connection will not be answered and a fresh one has nothing in
+    /// flight, so one dead link is one strike, not one per `WAIT`.
+    fn wait_all(&mut self) -> Vec<(usize, Result<JobStatus, String>)> {
+        let park = self.park_time();
+        // nodes that already hold this tick's parked WAIT
+        let mut parked = BTreeSet::new();
+        // nodes whose connection failed this tick
+        let mut lost = BTreeSet::new();
+        let mut asked = Vec::new();
+        for (ai, a) in self.assignments.iter().enumerate() {
+            if !a.active {
+                continue;
+            }
+            let (node, job_id, want) = (a.node, a.job_id, a.done.len() + 1);
+            if lost.contains(&node) {
+                continue;
+            }
+            let timeout = match parked.insert(node) {
+                true => park,
+                false => Duration::ZERO,
+            };
+            *self.rpcs.entry("WAIT").or_default() += 1;
+            let sent = self.nodes[node].post(|c| c.wait_post(job_id, Some(want), timeout));
+            if sent.is_err() {
+                lost.insert(node);
+            }
+            asked.push((ai, node, sent));
+        }
+        let mut replies = Vec::with_capacity(asked.len());
+        for (ai, node, sent) in asked {
+            let reply = match sent {
+                Ok(()) if lost.contains(&node) => continue,
+                Ok(()) => self.nodes[node].rpc(|c| c.wait_reply()),
+                Err(e) => Err(e),
+            };
+            if reply.as_ref().is_err_and(|e| is_transport_error(e)) {
+                lost.insert(node);
+            }
+            replies.push((ai, reply));
+        }
+        replies
+    }
+
+    /// How long a `WAIT` may stay parked: under `rpc_deadline`, so a
+    /// healthy node's answer always beats the read timeout that marks a
+    /// dead link, and within `steal_patience`, so a node that went idle
+    /// is noticed while stealing for it still pays.
+    fn park_time(&self) -> Duration {
+        (self.cfg.rpc_deadline / 2)
+            .min(self.cfg.steal_patience)
+            .max(Duration::from_millis(1))
+    }
+
     /// Submit `shards` as a new sub-job on `node`. On failure the work
     /// goes (back) to the pending pool — nothing is ever lost. A
     /// `hash mismatch` refusal quarantines the node on the spot: its
@@ -473,7 +591,7 @@ impl Run<'_> {
         // back by the node instead of admitting a duplicate scan.
         self.token_seq += 1;
         sub.job_token = Some(derive_job_token(&sub, self.token_seq));
-        match self.nodes[node].rpc(|c| c.submit(&sub)) {
+        match self.rpc(node, "SUBMIT", |c| c.submit(&sub)) {
             Ok(st) => {
                 self.assignments.push(Assignment {
                     node,
@@ -518,13 +636,32 @@ impl Run<'_> {
         }
     }
 
-    /// Merge every not-yet-merged completed shard of `assignment` from a
-    /// PARTIAL harvest. First copy of a shard wins; later copies (a
+    /// Merge the completed shards of `assignment` that this run has not
+    /// harvested from it yet: `PARTIAL … have=<what it has>`, so each
+    /// list is fetched once. First copy of a shard wins; later copies (a
     /// stolen shard that was mid-scan during the cancel and landed on
     /// both nodes) are bit-identical by construction and dropped.
+    ///
+    /// The reply is checked against the request before anything is
+    /// merged: a shard the sub-job does not own, one already in the
+    /// `have` that was sent, or a list longer than `top_k` means the
+    /// job id no longer names our sub-job (a node restarted without its
+    /// spool re-issues ids) — nothing from that reply is merged and the
+    /// assignment is closed, its remainder re-owned elsewhere.
     fn harvest(&mut self, ai: usize) -> Result<bool, String> {
         let (node, job_id) = (self.assignments[ai].node, self.assignments[ai].job_id);
-        let parts = self.nodes[node].rpc(|c| c.partial(job_id))?;
+        let have = self.assignments[ai].done.clone();
+        let parts = self.rpc(node, "PARTIAL", |c| c.partial(job_id, &have))?;
+        self.harvested_shards += parts.len() as u64;
+        let top_k = self.spec.top_k.max(1);
+        let owned = &self.assignments[ai].owned;
+        if parts
+            .iter()
+            .any(|(s, c)| !owned.contains(*s) || have.contains(*s) || c.len() > top_k)
+        {
+            self.close_assignment(ai, StealReason::FailedJob);
+            return Ok(true);
+        }
         let mut new = false;
         for (shard, cands) in parts {
             self.assignments[ai].done.insert(shard);
@@ -595,10 +732,10 @@ impl Run<'_> {
         }
     }
 
-    /// One scheduler pass: probe probation, poll every active sub-job
-    /// (harvesting new shards), reassign pending work, update idle
-    /// clocks, and steal from stragglers. Returns true when anything
-    /// moved.
+    /// One scheduler pass: probe probation, wait on every active
+    /// sub-job (harvesting new shards), reassign pending work, update
+    /// idle clocks, and steal from stragglers. Returns true when
+    /// anything moved.
     fn tick(&mut self) -> Result<bool, String> {
         let mut progressed = false;
 
@@ -616,24 +753,29 @@ impl Run<'_> {
             }
         }
 
-        // 1. Poll active assignments.
+        // 1. Close the sub-jobs of nodes already declared dead, then
+        //    park on the rest and act on what each one answers.
         for ai in 0..self.assignments.len() {
-            if !self.assignments[ai].active {
-                continue;
+            let a = &self.assignments[ai];
+            if a.active && self.nodes[a.node].is_dead() {
+                self.close_assignment(ai, StealReason::DeadNode);
+                progressed = true;
             }
-            let (node, job_id) = (self.assignments[ai].node, self.assignments[ai].job_id);
+        }
+        for (ai, reply) in self.wait_all() {
+            let node = self.assignments[ai].node;
             if self.nodes[node].is_dead() {
+                // this reply was its last strike, or an earlier one in
+                // this tick quarantined it: whatever it answered, none
+                // of it may be merged
                 self.close_assignment(ai, StealReason::DeadNode);
                 progressed = true;
                 continue;
             }
-            let st = match self.nodes[node].rpc(|c| c.status(job_id)) {
+            let st = match reply {
                 Ok(st) => st,
                 Err(e) => {
-                    if self.nodes[node].is_dead() {
-                        self.close_assignment(ai, StealReason::DeadNode);
-                        progressed = true;
-                    } else if !is_transport_error(&e) {
+                    if !is_transport_error(&e) {
                         // healthy node, but the job is gone (restarted
                         // server?): re-own the work elsewhere
                         self.close_assignment(ai, StealReason::FailedJob);
@@ -657,6 +799,9 @@ impl Run<'_> {
             }
             if st.done > self.assignments[ai].done.len() {
                 progressed |= self.harvest(ai).unwrap_or(false);
+                if !self.assignments[ai].active {
+                    continue; // the reply was not our sub-job's: closed
+                }
             }
             match st.state {
                 JobState::Done => {
@@ -689,7 +834,7 @@ impl Run<'_> {
                 }
                 None if (0..self.nodes.len()).any(|i| !self.nodes[i].is_dead()) => {
                     // the fleet lives but every node is backpressured:
-                    // hold the work and let the poll loop's sleep pace
+                    // hold the work and let `drive`'s idle pace space
                     // the retry — capacity frees as shards drain
                     self.pending.push(work);
                 }
@@ -776,30 +921,29 @@ impl Run<'_> {
         let victim_addr = self.nodes[victim].addr().to_string();
 
         // cancel; the engine hands back every unscanned shard
-        if self.nodes[victim].rpc(|c| c.cancel(job_id)).is_err() {
+        if self.rpc(victim, "CANCEL", |c| c.cancel(job_id)).is_err() {
             return false; // health machinery took note; retry next tick
         }
-        // let the in-flight shard land so the harvest below is maximal
-        // (a timeout here is fine: the merge dedups by shard index) —
-        // polled on the same floor→cap backoff as the main loop, and
-        // never past the run's own deadline
-        let quiesce = self.cfg.steal_quiesce.min(
-            self.cfg
-                .overall_deadline
-                .saturating_sub(self.started.elapsed()),
-        );
-        let (floor, cap) = (self.cfg.poll_floor, self.cfg.poll_cap);
-        let _ = self.nodes[victim].rpc(|c| {
-            // wait's deadline error is transport-classified by design,
-            // but an *expected* quiesce timeout must not count against
-            // the victim's health — confirm liveness with one STATUS
-            // so the rpc outcome reflects the node, not the clock
-            match c.wait_with_backoff(job_id, quiesce, floor, cap) {
-                Err(e) if e.starts_with("receive timed out") => c.status(job_id),
-                other => other,
-            }
-        });
+        // let the in-flight shard land so the harvest below is maximal:
+        // one WAIT, answered when the cancelled job is stable. Running
+        // out of time is an ordinary (unstable) status, not an error —
+        // the merge dedups by shard index — so an expected timeout
+        // cannot count against the victim's health. Never parked past
+        // the run's own deadline, nor past the read timeout.
+        let quiesce = self
+            .cfg
+            .steal_quiesce
+            .min(
+                self.cfg
+                    .overall_deadline
+                    .saturating_sub(self.started.elapsed()),
+            )
+            .min(self.cfg.rpc_deadline / 2);
+        let _ = self.rpc(victim, "WAIT", |c| c.wait_progress(job_id, None, quiesce));
         let _ = self.harvest(ai);
+        if !self.assignments[ai].active {
+            return true; // harvest closed it; the remainder is pending
+        }
         self.assignments[ai].active = false;
 
         let a = &self.assignments[ai];

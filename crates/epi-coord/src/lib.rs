@@ -7,9 +7,10 @@
 //! every node — derives the identical global plan, and a shard index
 //! means the same rank range everywhere. The coordinator exploits this:
 //! it partitions the global shard indices into per-node [`ShardSet`]s,
-//! submits one sub-job per node (`shard_set=` spec key), polls progress,
-//! and merges the per-shard top-Ks **bit-identically** to a monolithic
-//! scan.
+//! submits one sub-job per node (`shard_set=` spec key), parks a `WAIT`
+//! on each, harvests what each finishes with `PARTIAL … have=` (every
+//! shard's list crosses the wire once), and merges the per-shard top-Ks
+//! **bit-identically** to a monolithic scan.
 //!
 //! ```text
 //!             ┌─ node A ── SUBMIT shard_set=0-15   ──┐
@@ -42,7 +43,8 @@
 //! * **Dataset integrity.** The coordinator pins the dataset's content
 //!   hash ([`epi_core::integrity::dataset_hash`]) into every sub-job's
 //!   `dataset_hash=` key; a node whose replica hashes differently is
-//!   refused at SUBMIT or caught at STATUS and *quarantined* — probes
+//!   refused at SUBMIT or caught by the status a `WAIT` returns —
+//!   before any harvest — and *quarantined*: probes
 //!   stop, nothing it computed is merged, and the report names it with
 //!   the reason. A corrupt replica can cost capacity, never
 //!   correctness.

@@ -166,6 +166,28 @@ impl NodeHandle {
         &mut self,
         op: impl FnOnce(&mut Client) -> Result<T, String>,
     ) -> Result<T, String> {
+        self.exchange(op, true)
+    }
+
+    /// The write half of a split request (`Client::wait_post`): the
+    /// reply is collected by a later [`NodeHandle::rpc`]. Failures count
+    /// exactly as in `rpc`, but success proves only that a kernel
+    /// buffer took the bytes, so it does not reset the failure count —
+    /// otherwise a black-holed node, whose writes succeed and whose
+    /// reads time out, would alternate 1, 0, 1, 0 and never be
+    /// declared dead.
+    pub fn post(
+        &mut self,
+        op: impl FnOnce(&mut Client) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.exchange(op, false)
+    }
+
+    fn exchange<T>(
+        &mut self,
+        op: impl FnOnce(&mut Client) -> Result<T, String>,
+        proves_liveness: bool,
+    ) -> Result<T, String> {
         if self.dead {
             return Err(format!("node {} is dead", self.addr));
         }
@@ -183,7 +205,9 @@ impl NodeHandle {
         let client = self.client.as_mut().expect("connected above");
         match op(client) {
             Ok(v) => {
-                self.failures = 0;
+                if proves_liveness {
+                    self.failures = 0;
+                }
                 Ok(v)
             }
             Err(e) => {

@@ -1,7 +1,7 @@
 //! End-to-end federation over loopback fleets of real epi-servers:
 //! bit-identical merges, dead-node recovery, and straggler stealing.
 
-use epi_coord::{federate, partition, FederationConfig, StealReason};
+use epi_coord::{federate, partition, FederationConfig, FederationReport, StealReason};
 use epi_core::result::Candidate;
 use epi_core::scan::{ScanConfig, Version};
 use epi_core::shard::ShardSet;
@@ -69,12 +69,20 @@ fn assert_bit_identical(got: &[Candidate], want: &[Candidate]) {
     }
 }
 
+/// Requests of one verb the coordinator sent during the run.
+fn rpcs(report: &FederationReport, verb: &str) -> u64 {
+    report
+        .rpcs
+        .iter()
+        .find(|(v, _)| *v == verb)
+        .map_or(0, |(_, n)| *n)
+}
+
 fn test_config(addrs: &[SocketAddr]) -> FederationConfig {
     let mut cfg = FederationConfig::new(addrs.iter().map(|a| a.to_string()).collect());
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.max_rpc_failures = 2;
     cfg.steal_patience = Duration::from_millis(50);
-    cfg.poll_cap = Duration::from_millis(20);
     cfg.overall_deadline = Duration::from_secs(120);
     cfg
 }
@@ -118,6 +126,15 @@ fn two_node_federation_merges_bit_identical_to_monolithic() {
         "both nodes should do work: {:?}",
         report.per_node_shards
     );
+    // what the run cost: every shard's list crossed the wire exactly
+    // once, each harvest was announced by one parked WAIT, and nothing
+    // polled — one SUBMIT per sub-job and no STATUS at all
+    assert_eq!(report.harvested_shards, 16);
+    let rpcs = |verb| rpcs(&report, verb);
+    assert_eq!(rpcs("SUBMIT"), 2, "{:?}", report.rpcs);
+    assert_eq!(rpcs("STATUS"), 0, "{:?}", report.rpcs);
+    assert!((1..=16).contains(&rpcs("PARTIAL")), "{:?}", report.rpcs);
+    assert!(rpcs("WAIT") >= rpcs("PARTIAL"), "{:?}", report.rpcs);
 
     for h in handles {
         h.shutdown();
@@ -280,7 +297,167 @@ fn straggler_work_is_stolen_by_the_idle_node() {
     );
     let contributed: u64 = report.per_node_shards.iter().map(|(_, n)| n).sum();
     assert_eq!(contributed, 16);
+    // a steal can fetch a shard twice (mid-scan during the cancel, so it
+    // lands on both nodes) but only a stolen one
+    let stolen: u64 = report.steals.iter().map(|s| s.shards.len()).sum();
+    assert!(
+        (16..=16 + stolen).contains(&report.harvested_shards),
+        "harvested {} lists for 16 shards with {stolen} stolen",
+        report.harvested_shards
+    );
 
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// A node that refuses PARTIAL (a healthy server saying no) leaves the
+/// WAIT's `done>=K` already true, so the next WAIT returns at once: the
+/// retry must be paced per tick, not spun.
+#[test]
+fn a_refused_harvest_is_retried_once_per_paced_tick() {
+    let path = write_dataset("refused", 18, 192, 27);
+    let (addrs, handles) = spawn_fleet(&[1]);
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 6;
+    spec.top_k = 5;
+    spec.fail_partial = 2;
+
+    let began = std::time::Instant::now();
+    let report = federate(&spec, &test_config(&addrs)).expect("federation");
+    assert_bit_identical(&report.top, &monolithic(&path, 5));
+    assert!(report.dead_nodes.is_empty(), "a refusal is not a strike");
+    assert!(report.steals.is_empty(), "{:?}", report.steals);
+    assert_eq!(report.harvested_shards, 6);
+    let rpcs = |verb| rpcs(&report, verb);
+    // at most one PARTIAL per shard plus the two refused ones, and one
+    // WAIT per PARTIAL plus the ticks that timed out with nothing new
+    assert!(rpcs("PARTIAL") <= 6 + 2, "{:?}", report.rpcs);
+    let quiet_ticks = began.elapsed().as_millis() as u64 / 50 + 1;
+    assert!(
+        rpcs("WAIT") <= rpcs("PARTIAL") + quiet_ticks,
+        "{:?} in {:?}",
+        report.rpcs,
+        began.elapsed()
+    );
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Shards slower than the read timeout: every WAIT times out *in the
+/// server* (an ordinary unfinished status, well inside `rpc_deadline`),
+/// so a slow node is never mistaken for a dead link.
+#[test]
+fn slow_shards_time_out_in_the_server_not_on_the_link() {
+    let path = write_dataset("slowshards", 18, 192, 33);
+    let (addrs, handles) = spawn_fleet(&[1, 1]);
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 4;
+    spec.top_k = 5;
+    spec.throttle_ms = 700;
+
+    let mut cfg = test_config(&addrs);
+    cfg.rpc_deadline = Duration::from_millis(500); // < one shard
+    cfg.max_rpc_failures = 1; // a single link timeout would kill the node
+    cfg.steal_patience = Duration::from_secs(30);
+    let report = federate(&spec, &cfg).expect("federation");
+    assert_bit_identical(&report.top, &monolithic(&path, 5));
+    assert!(report.dead_nodes.is_empty(), "{:?}", report.dead_nodes);
+    assert!(report.steals.is_empty(), "{:?}", report.steals);
+    assert!(report.readmissions.is_empty());
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// A fake fleet member speaking the framed protocol from a script:
+/// `answer(request line) -> reply text`.
+fn fake_node(answer: impl Fn(&str) -> String + Send + Sync + 'static) -> SocketAddr {
+    use epi_server::frame::{FrameReader, FrameWriter};
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let answer = std::sync::Arc::new(answer);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            let answer = std::sync::Arc::clone(&answer);
+            std::thread::spawn(move || {
+                let mut out = FrameWriter::new(conn.try_clone().unwrap());
+                let mut lines = BufReader::new(FrameReader::new(conn));
+                let mut line = String::new();
+                while matches!(lines.read_line(&mut line), Ok(n) if n > 0) {
+                    let reply = answer(line.trim_end());
+                    if out
+                        .write_all(reply.as_bytes())
+                        .and_then(|_| out.flush())
+                        .is_err()
+                    {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A job id is only a number: a node restarted without its spool
+/// re-issues ids, so the id of our sub-job can come to name somebody
+/// else's job on the same dataset — right hash, wrong shards. Whatever
+/// such a reply carries (a shard we did not assign, one we said we
+/// have, a list longer than top-K), none of it may be merged.
+#[test]
+fn a_harvest_that_answers_for_someone_elses_job_is_never_merged() {
+    let path = write_dataset("foreign", 20, 192, 39);
+    let (addrs, handles) = spawn_fleet(&[1]);
+    // the impostor is handed shards 4-7 and answers with shard 1 — the
+    // real node's — carrying a candidate that would top the merge
+    let submits = std::sync::atomic::AtomicU64::new(0);
+    let impostor = fake_node(move |request| {
+        let verb = request.split_whitespace().next().unwrap_or("");
+        match verb {
+            "SUBMIT" if submits.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 => {
+                "OK job=7 state=queued done=0 total=4 in_flight=0 combos=100\n".into()
+            }
+            "SUBMIT" => "ERR over capacity (retry_after_ms=60000): one job was enough\n".into(),
+            "WAIT" => "OK job=7 state=running done=1 total=4 in_flight=1 combos=100\n".into(),
+            "PARTIAL" => format!(
+                "OK job=7 count=1\nSHARD 1 1\nCAND 0 1 2 {:016x}\nEND\n",
+                f64::NEG_INFINITY.to_bits()
+            ),
+            _ => "ERR unexpected\n".into(),
+        }
+    });
+
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 8;
+    spec.top_k = 6;
+    spec.throttle_ms = 5;
+    let mut cfg = test_config(&[addrs[0], impostor]);
+    cfg.steal_patience = Duration::from_secs(30);
+    let report = federate(&spec, &cfg).expect("federation finishes on the real node");
+
+    assert_bit_identical(&report.top, &monolithic(&path, 6));
+    let impostor = impostor.to_string();
+    assert_eq!(
+        report.per_node_shards,
+        vec![(addrs[0].to_string(), 8), (impostor.clone(), 0)],
+        "nothing the impostor sent may count as a merged shard"
+    );
+    assert!(
+        report
+            .steals
+            .iter()
+            .any(|s| s.reason == StealReason::FailedJob
+                && s.from == impostor
+                && s.shards == ShardSet::from_range(4..8)),
+        "its assignment is closed and re-owned whole: {:?}",
+        report.steals
+    );
+    assert!(report.dead_nodes.is_empty() && report.quarantined.is_empty());
     for h in handles {
         h.shutdown();
     }

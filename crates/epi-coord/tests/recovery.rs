@@ -81,7 +81,6 @@ fn test_config(nodes: Vec<String>) -> FederationConfig {
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.max_rpc_failures = 2;
     cfg.steal_patience = Duration::from_millis(50);
-    cfg.poll_cap = Duration::from_millis(20);
     cfg.probe_floor = Duration::from_millis(10);
     cfg.probe_cap = Duration::from_millis(100);
     cfg.overall_deadline = Duration::from_secs(120);
@@ -320,6 +319,62 @@ fn more_nodes_than_shards_leaves_surplus_nodes_idle() {
     let contributed: u64 = report.per_node_shards.iter().map(|(_, n)| n).sum();
     assert_eq!(contributed, 2);
 
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// A `WAIT` parked on a link that went dead: the write lands in a
+/// kernel buffer, no reply ever comes, and what resolves it is the
+/// connection's `rpc_deadline` — one transport failure, however long
+/// the server was asked to hold the reply. The write half must not pass
+/// for a sign of life either, or a black-holed node would reset its own
+/// strike count every tick and never be declared dead.
+#[test]
+fn a_wait_parked_on_a_dead_link_resolves_through_the_rpc_deadline() {
+    use epi_coord::{Fault, NodeHandle};
+    let (addrs, handles) = spawn_fleet(1);
+    // connections 0 and 1 are black holes, 2 onward are faithful
+    let proxy = ChaosProxy::launch(
+        addrs[0],
+        ChaosSchedule::Scripted(vec![Fault::Blackhole, Fault::Blackhole]),
+    )
+    .expect("launch chaos proxy");
+    let rpc_deadline = Duration::from_millis(250);
+    let mut node = NodeHandle::new(proxy.local_addr().to_string(), rpc_deadline, 2);
+    let park = rpc_deadline / 2;
+
+    let began = Instant::now();
+    node.post(|c| c.wait_post(1, Some(1), park))
+        .expect("the write succeeds");
+    assert_eq!(node.failures(), 0);
+    let err = node.rpc(|c| c.wait_reply()).unwrap_err();
+    assert!(err.starts_with("receive timed out"), "{err}");
+    let took = began.elapsed();
+    assert!(
+        took >= rpc_deadline && took < rpc_deadline * 8,
+        "resolved by the read timeout, got {took:?}"
+    );
+    assert_eq!(node.failures(), 1, "one dead WAIT is one strike");
+
+    // next tick, next (black-holed) connection: the successful write
+    // leaves the strike standing, the second silence is the last one
+    node.post(|c| c.wait_post(1, Some(1), park))
+        .expect("the write succeeds again");
+    assert_eq!(node.failures(), 1, "a write proves nothing about the peer");
+    assert!(node.rpc(|c| c.wait_reply()).is_err());
+    assert!(node.is_dead(), "two silent WAITs in a row: dead");
+
+    // the link heals: the probe re-admits it and a WAIT gets its answer
+    // (`no such job` — a protocol error, i.e. a healthy exchange)
+    std::thread::sleep(Duration::from_millis(60));
+    assert!(node.probe().is_some(), "connection 2 is faithful");
+    node.post(|c| c.wait_post(1, Some(1), park)).unwrap();
+    let err = node.rpc(|c| c.wait_reply()).unwrap_err();
+    assert!(err.contains("no such job"), "{err}");
+    assert_eq!(node.failures(), 0);
+
+    drop(proxy);
     for h in handles {
         h.shutdown();
     }

@@ -116,8 +116,10 @@ fn verbs(tree: &Tree, out: &mut Vec<Finding>) {
     let mut client_set = Sites::new();
     if let Some(client) = tree.file("epi-server/src/client.rs") {
         for (i, t) in client.sig.iter().enumerate() {
+            // `send` is a whole round trip, `post` the write half of a
+            // split one (WAIT): either puts a verb on the wire
             if t.kind != Kind::Ident
-                || client.tok_text(*t) != "send"
+                || !matches!(client.tok_text(*t), "send" | "post")
                 || !client.is_punct(i + 1, '(')
             {
                 continue;

@@ -428,6 +428,7 @@ pub fn dispatch(verb: &str) {
     match verb {
         "PING" => reply_pong(),
         "SUBMIT" => submit(),
+        "WAIT" => park(),
         _ => err(),
     }
 }
@@ -436,6 +437,7 @@ pub fn dispatch(verb: &str) {
 const LIB_RS: &str = r#"
 //! | `PING` | `PONG` |
 //! | `SUBMIT <spec>` | `OK <id>` |
+//! | `WAIT <id> [done>=K] [timeout_ms=T]` | `OK <status>` |
 "#;
 
 const README_TABLE: &str = "\
@@ -445,6 +447,7 @@ const README_TABLE: &str = "\
 |----------|-------|
 | `PING` | `PONG` |
 | `SUBMIT <spec>` | `OK <id>` |
+| `WAIT <id> [done>=K] [timeout_ms=T]` | `OK <status>` |
 ";
 
 #[test]
@@ -457,6 +460,9 @@ fn proto_verb_fires_when_client_misses_a_verb() {
 impl Client {
     pub fn ping(&mut self) -> String {
         self.send("PING")
+    }
+    pub fn wait_post(&mut self, id: u64) {
+        self.post(&format!("WAIT {id}"))
     }
 }
 "#,
@@ -482,6 +488,10 @@ impl Client {
     }
     pub fn submit(&mut self, spec: &str) -> String {
         self.send(&format!("SUBMIT {spec}"))
+    }
+    // the write half of a split request names its verb through post()
+    pub fn wait_post(&mut self, id: u64) {
+        self.post(&format!("WAIT {id}"))
     }
 }
 "#,

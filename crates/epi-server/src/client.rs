@@ -1,5 +1,24 @@
 //! Blocking client for the job service, used by the `epi3` CLI, the
-//! examples, and the end-to-end tests.
+//! examples, the federation coordinator and the end-to-end tests.
+//!
+//! ## Waiting for a job
+//!
+//! [`Client::wait`] parks server-side: it sends `WAIT <id>
+//! timeout_ms=T`, the server answers when the job is stable (or `T`
+//! passes), and the call re-arms until the caller's hard deadline — one
+//! round trip per job instead of a poll loop, and the answer arrives
+//! with the transition instead of up to a backoff step after it.
+//! [`Client::wait_progress`] is the single round trip underneath
+//! (optionally with `done>=K`), and [`Client::wait_post`] /
+//! [`Client::wait_reply`] are its two halves, so a caller with several
+//! connections can have every server waiting before it blocks on the
+//! first reply.
+//!
+//! [`Client::wait_with_backoff`] is the explicit-poll API and stays:
+//! it is what a caller uses to *choose* its own STATUS cadence — the
+//! frozen `benchmark/` polls at a fixed 1 ms with it so its latencies
+//! are not shaped by the server's wake path — and what still works
+//! against a server that predates `WAIT`.
 
 use crate::frame::{FrameReader, FrameWriter};
 use crate::job::{JobState, JobStatus};
@@ -165,12 +184,17 @@ impl Client {
         }
     }
 
-    fn send(&mut self, request: &str) -> Result<String, String> {
+    /// Write one request line without reading its reply.
+    fn post(&mut self, request: &str) -> Result<(), String> {
         self.writer
             .write_all(request.as_bytes())
             .and_then(|_| self.writer.write_all(b"\n"))
             .and_then(|_| self.writer.flush())
-            .map_err(|e| self.io_error("send", e))?;
+            .map_err(|e| self.io_error("send", e))
+    }
+
+    fn send(&mut self, request: &str) -> Result<String, String> {
+        self.post(request)?;
         self.read_line()
     }
 
@@ -249,6 +273,45 @@ impl Client {
         parse_status(Self::expect_ok(&line)?)
     }
 
+    /// One `WAIT` round trip: the server holds the reply until the job
+    /// is stable, `done` reaches `min_done` (when given) or `timeout`
+    /// passes, then answers with the job's status — on a timeout that
+    /// is the current, unfinished status, not an error. `timeout` is
+    /// the *server's*; on a connection with an I/O deadline keep it
+    /// below that deadline, or the reply cannot arrive in time.
+    pub fn wait_progress(
+        &mut self,
+        id: u64,
+        min_done: Option<u64>,
+        timeout: Duration,
+    ) -> Result<JobStatus, String> {
+        self.wait_post(id, min_done, timeout)?;
+        self.wait_reply()
+    }
+
+    /// First half of [`Client::wait_progress`]: send the `WAIT` and
+    /// return. The connection then owes one [`Client::wait_reply`]
+    /// before any other call.
+    pub fn wait_post(
+        &mut self,
+        id: u64,
+        min_done: Option<u64>,
+        timeout: Duration,
+    ) -> Result<(), String> {
+        // whole milliseconds, rounded up: a sub-millisecond remainder
+        // must not turn into `timeout_ms=0`, an immediate answer
+        let ms = u64::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
+        let done = min_done.map_or(String::new(), |k| format!(" done>={k}"));
+        self.post(&format!("WAIT {id}{done} timeout_ms={ms}"))
+    }
+
+    /// Second half of [`Client::wait_progress`]: block for the status
+    /// line the server owes this connection.
+    pub fn wait_reply(&mut self) -> Result<JobStatus, String> {
+        let line = self.read_line()?;
+        parse_status(Self::expect_ok(&line)?)
+    }
+
     /// Cancel a job (completed shards stay checkpointed).
     pub fn cancel(&mut self, id: u64) -> Result<JobStatus, String> {
         let line = self.send(&format!("CANCEL {id}"))?;
@@ -266,7 +329,8 @@ impl Client {
         let header = self.send(&format!("RESULT {id}"))?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        // `count` is the peer's claim: grow as lines actually arrive
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             out.push(parse_candidate(&line)?);
@@ -293,15 +357,28 @@ impl Client {
         ShardSet::parse_compact(done)
     }
 
-    /// Per-shard candidate lists of every completed shard, in any job
-    /// state. The federation coordinator harvests a cancelled (or
-    /// half-finished) node's completed work through this; merging per
-    /// shard index keeps re-executed shards duplicate-free.
-    pub fn partial(&mut self, id: u64) -> Result<Vec<(u64, Vec<Candidate>)>, String> {
-        let header = self.send(&format!("PARTIAL {id}"))?;
+    /// Per-shard candidate lists of every completed shard not in
+    /// `have`, in any job state. The federation coordinator harvests a
+    /// running (or cancelled) node's completed work through this,
+    /// passing what it already merged so each list travels once;
+    /// merging per shard index keeps re-executed shards duplicate-free.
+    /// The empty `have` asks for everything.
+    pub fn partial(
+        &mut self,
+        id: u64,
+        have: &ShardSet,
+    ) -> Result<Vec<(u64, Vec<Candidate>)>, String> {
+        let have = if have.is_empty() {
+            String::new()
+        } else {
+            format!(" have={}", have.to_compact())
+        };
+        let header = self.send(&format!("PARTIAL {id}{have}"))?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        // `count` and each shard's `n` are the peer's claims: grow as
+        // lines actually arrive
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             let mut parts = line.split_whitespace();
@@ -310,7 +387,7 @@ impl Client {
             }
             let shard: u64 = parse_num(parts.next(), "shard index")?;
             let n: usize = parse_num(parts.next(), "candidate count")?;
-            let mut cands = Vec::with_capacity(n);
+            let mut cands = Vec::new();
             for _ in 0..n {
                 let line = self.read_line()?;
                 cands.push(parse_candidate(&line)?);
@@ -329,7 +406,7 @@ impl Client {
         let header = self.send("JOBS")?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             let rest = line
@@ -406,11 +483,12 @@ impl Client {
         Self::expect_ok(&line).map(|_| ())
     }
 
-    /// Poll until the job is stable (done/failed/cancelled with nothing
-    /// in flight) or the timeout elapses. Polls with exponential backoff
-    /// — 2 ms doubling to a 250 ms cap — so short jobs still resolve in
-    /// milliseconds while a coordinator waiting on many long-running
-    /// nodes doesn't busy-spin the fleet with STATUS traffic.
+    /// Block until the job is stable (done/failed/cancelled with nothing
+    /// in flight) or the timeout elapses. The waiting happens in the
+    /// server: one parked `WAIT`, answered by the transition itself and
+    /// re-armed only when the connection's own I/O deadline is shorter
+    /// than what is left (the server is asked to answer within half of
+    /// it, so a healthy reply is never mistaken for a dead link).
     ///
     /// The timeout is a hard deadline: a job still unstable when it
     /// elapses yields a `receive timed out …` error (classified like a
@@ -419,20 +497,25 @@ impl Client {
     /// callers that used to poll forever behind a quota'd queue now get
     /// a clean failure carrying the job's last observed progress.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> Result<JobStatus, String> {
-        self.wait_with_backoff(
-            id,
-            timeout,
-            Duration::from_millis(2),
-            Duration::from_millis(250),
-        )
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let park = self.deadline.map_or(left, |io| left.min(io / 2));
+            let status = self.wait_progress(id, None, park)?;
+            if status.is_stable() {
+                return Ok(status);
+            }
+            if Instant::now() >= deadline {
+                return Err(wait_timed_out(timeout, &status));
+            }
+        }
     }
 
-    /// [`Client::wait`] with explicit backoff bounds, resetting to the
-    /// floor whenever the job makes progress (`done` advances): a job
-    /// draining shards gets polled at the floor's cadence, one that has
-    /// stalled backs off toward the cap. Coordinators use this during
-    /// steal quiesce so the victim's deadline budget is spent watching,
-    /// not oversleeping.
+    /// The explicit-poll wait: STATUS on a backoff the caller chooses,
+    /// from `floor` doubling to `cap` and back to the floor whenever
+    /// `done` advances. Same hard deadline and error as
+    /// [`Client::wait`], which parks instead and is what to use unless
+    /// the cadence itself is the point (the module docs say when).
     pub fn wait_with_backoff(
         &mut self,
         id: u64,
@@ -452,10 +535,7 @@ impl Client {
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(format!(
-                    "receive timed out after {timeout:?}: job {id} still {} (done {}/{})",
-                    status.state, status.done, status.total
-                ));
+                return Err(wait_timed_out(timeout, &status));
             }
             if last_done.is_some_and(|d| status.done > d) {
                 backoff = floor;
@@ -467,6 +547,15 @@ impl Client {
             backoff = (backoff * 2).min(cap);
         }
     }
+}
+
+/// The hard-deadline error of both waits: transport-classified
+/// (`receive …`), carrying the job's last observed progress.
+fn wait_timed_out(timeout: Duration, last: &JobStatus) -> String {
+    format!(
+        "receive timed out after {timeout:?}: job {} still {} (done {}/{})",
+        last.id, last.state, last.done, last.total
+    )
 }
 
 /// Backoff before retrying an `over capacity` SUBMIT: the server's

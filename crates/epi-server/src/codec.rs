@@ -157,7 +157,9 @@ impl Checkpoint {
             if idx >= shard_results.len() {
                 return Err(format!("shard index {idx} out of range"));
             }
-            let mut cands = Vec::with_capacity(count);
+            // `count` is the file's claim (a torn or crafted spool can
+            // say anything): grow as records actually arrive
+            let mut cands = Vec::new();
             for _ in 0..count {
                 let cand_line = next_line()?;
                 let mut f = cand_line.split_whitespace();
@@ -307,6 +309,13 @@ mod tests {
         assert!(Checkpoint::read_from(truncated.as_bytes()).is_err());
         let dup = text.replace("shard 2 0\n", "shard 0 0\n");
         assert!(Checkpoint::read_from(dup.as_bytes()).is_err());
+        // a record count the file cannot back is a truncated checkpoint
+        // (`.prev` is tried next), not a 2^50-entry allocation: that
+        // aborts the process, and restore runs at server start
+        let crafted = text.replace("shard 2 0\n", "shard 2 1125899906842624\n");
+        assert_ne!(crafted, text);
+        let err = Checkpoint::read_from(crafted.as_bytes()).unwrap_err();
+        assert!(err.contains("cand record"), "{err}");
     }
 
     #[test]

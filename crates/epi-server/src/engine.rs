@@ -42,8 +42,8 @@ use epi_core::scan::Version;
 use epi_core::shard::{scan_shard_split_cached, scan_shard_unsplit, ShardPlan, ShardSet};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +122,17 @@ struct EngineState {
 struct Shared {
     state: Mutex<EngineState>,
     work_ready: Condvar,
+    /// Signalled by [`Shared::notify_progress`]; [`Engine::wait`] sleeps
+    /// on it (with `state`).
+    progress: Condvar,
+    /// Live [`ProgressWatch`]es: `Engine::wait` sleepers, plus one for
+    /// the server's readiness loop while it has a `WAIT` parked. Zero
+    /// means nobody is listening and `notify_progress` returns after
+    /// one load.
+    watchers: AtomicUsize,
+    /// Wakes the server's readiness loop (it blocks in `poll`, not on
+    /// a condvar); installed once by [`Engine::set_progress_hook`].
+    progress_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
     shutdown: AtomicBool,
     /// Shards scanned since engine start — across resumes this equals the
     /// number of *distinct* shards completed, which is how the tests
@@ -186,6 +197,9 @@ impl Engine {
                 mem_used: 0,
             }),
             work_ready: Condvar::new(),
+            progress: Condvar::new(),
+            watchers: AtomicUsize::new(0),
+            progress_hook: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             shards_scanned: AtomicU64::new(0),
             spool_dir: cfg.spool_dir.clone(),
@@ -302,7 +316,7 @@ impl Engine {
         let id = {
             let mut state = lock(&self.shared.state);
             let st = &mut *state;
-            sweep_deadlines(st);
+            self.shared.sweep_deadlines(st);
             if let Some(token) = &spec.job_token {
                 if let Some(&existing) = st.tokens.get(token) {
                     return match st.jobs.get(&existing) {
@@ -459,7 +473,7 @@ impl Engine {
     /// Progress snapshot of one job.
     pub fn status(&self, id: u64) -> Result<JobStatus, String> {
         let mut state = lock(&self.shared.state);
-        sweep_deadlines(&mut state);
+        self.shared.sweep_deadlines(&mut state);
         state
             .jobs
             .get(&id)
@@ -470,7 +484,7 @@ impl Engine {
     /// Snapshot of every job, newest first.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let mut state = lock(&self.shared.state);
-        sweep_deadlines(&mut state);
+        self.shared.sweep_deadlines(&mut state);
         let mut all: Vec<JobStatus> = state.jobs.values().map(Job::status).collect();
         all.sort_by_key(|s| std::cmp::Reverse(s.id));
         all
@@ -520,6 +534,7 @@ impl Engine {
         let status = job.status();
         let snapshot = snapshot_if_spooled(job, self.shared.spool_dir.as_deref());
         drop(state);
+        self.shared.notify_progress();
         self.shared.write_checkpoint(snapshot);
         Ok(status)
     }
@@ -669,13 +684,16 @@ impl Engine {
         ))
     }
 
-    /// Per-shard candidate lists of every *completed* shard, in any job
-    /// state (the PARTIAL verb). Unlike [`Engine::result`] this does not
-    /// require `Done`: a federation coordinator harvests the completed
-    /// shards of a cancelled straggler through this, resubmits only the
-    /// rest elsewhere, and merges per shard index — duplicate-free by
-    /// construction.
-    pub fn partial(&self, id: u64) -> Result<Vec<(u64, Vec<Candidate>)>, String> {
+    /// Per-shard candidate lists of every *completed* shard not in
+    /// `have`, in any job state (the PARTIAL verb). Unlike
+    /// [`Engine::result`] this does not require `Done`: a federation
+    /// coordinator harvests a running (or cancelled) sub-job through
+    /// this, passing the shards it already merged as `have` so each
+    /// list crosses the lock and the wire once, and merges per shard
+    /// index — duplicate-free by construction. `have` may name shards
+    /// the job does not own or that lie past the plan; they match
+    /// nothing.
+    pub fn partial(&self, id: u64, have: &ShardSet) -> Result<Vec<(u64, Vec<Candidate>)>, String> {
         let mut state = lock(&self.shared.state);
         let job = state
             .jobs
@@ -696,6 +714,7 @@ impl Engine {
             .shard_results
             .iter()
             .enumerate()
+            .filter(|(i, _)| !have.contains(*i as u64))
             .filter_map(|(i, r)| r.as_ref().map(|c| (i as u64, c.clone())))
             .collect())
     }
@@ -754,7 +773,7 @@ impl Engine {
     /// name (STATS `tenant_jobs=`).
     pub fn tenant_jobs(&self) -> Vec<(String, u64)> {
         let mut state = lock(&self.shared.state);
-        sweep_deadlines(&mut state);
+        self.shared.sweep_deadlines(&mut state);
         let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
         for job in state.jobs.values() {
             if matches!(job.state, JobState::Queued | JobState::Running) {
@@ -766,16 +785,52 @@ impl Engine {
 
     /// Block until the job reaches a stable snapshot (terminal state and
     /// no shard mid-scan) or the timeout elapses; returns the last status
-    /// seen.
+    /// seen. Sleeps on the progress condvar, so it wakes on the
+    /// transition itself rather than on a poll interval.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<JobStatus, String> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
+        let _watch = self.watch_progress();
+        let mut state = lock(&self.shared.state);
         loop {
-            let status = self.status(id)?;
-            if status.is_stable() || std::time::Instant::now() >= deadline {
+            self.shared.sweep_deadlines(&mut state);
+            let status = state
+                .jobs
+                .get(&id)
+                .map(Job::status)
+                .ok_or_else(|| format!("no such job {id}"))?;
+            let now = Instant::now();
+            if status.is_stable() || now >= deadline {
                 return Ok(status);
             }
-            std::thread::sleep(Duration::from_millis(2));
+            state = self
+                .shared
+                .progress
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+    }
+
+    /// Register as blocked on job progress until the returned guard
+    /// drops. Register *before* inspecting a job: a transition the
+    /// inspection misses then finds the registration.
+    pub(crate) fn watch_progress(&self) -> ProgressWatch {
+        self.shared.watchers.fetch_add(1, Ordering::SeqCst);
+        ProgressWatch(Arc::clone(&self.shared))
+    }
+
+    /// Live progress watches (tests: a parked `WAIT` whose peer vanished
+    /// must not leave one behind).
+    #[doc(hidden)]
+    pub fn progress_watchers(&self) -> usize {
+        self.shared.watchers.load(Ordering::SeqCst)
+    }
+
+    /// Install the callback [`Shared::notify_progress`] runs while a
+    /// watcher is registered — the server's wake channel. One per
+    /// engine; `false` when one is already installed.
+    pub(crate) fn set_progress_hook(&self, hook: Box<dyn Fn() + Send + Sync>) -> bool {
+        self.shared.progress_hook.set(hook).is_ok()
     }
 
     /// Stop the worker pool: each worker finishes (and records) at most
@@ -809,13 +864,85 @@ impl Engine {
                 }
             }
         }
+        self.shared.notify_progress();
         for snapshot in snapshots {
             self.shared.write_checkpoint(snapshot);
         }
     }
 }
 
+/// One party blocked on job progress; see [`Engine::watch_progress`].
+pub(crate) struct ProgressWatch(Arc<Shared>);
+
+impl Drop for ProgressWatch {
+    fn drop(&mut self) {
+        self.0.watchers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 impl Shared {
+    /// Tell whoever is blocked on job progress to look again. Every
+    /// transition that can satisfy a waiter ends here: a shard recorded,
+    /// CANCEL, a worker panic, a deadline expiry, `stop`.
+    fn notify_progress(&self) {
+        // Relaxed is enough: a watcher registers before it inspects the
+        // job under the state lock and every transition is made under
+        // that lock, so whenever the inspection missed the transition
+        // the lock hand-over orders the registration before this load.
+        if self.watchers.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        self.progress.notify_all();
+        if let Some(hook) = self.progress_hook.get() {
+            hook();
+        }
+    }
+
+    /// Fail every queued/running job whose `deadline_ms=` budget has
+    /// expired, drain their queued shards, and release the memory charge of
+    /// any that have nothing left in flight. Runs under the state lock on
+    /// every API call and worker wake, so a deadline fires even on an
+    /// otherwise idle engine. Workers abandon the rest of a claimed batch
+    /// through the existing failed-job abandon path. (Nothing new needs
+    /// checkpointing: shard results were persisted as they landed, and the
+    /// checkpoint format does not store the lifecycle state.)
+    fn sweep_deadlines(&self, state: &mut EngineState) {
+        let now = Instant::now();
+        let st = &mut *state;
+        let mut expired = false;
+        for job in st.jobs.values_mut() {
+            if !matches!(job.state, JobState::Queued | JobState::Running) {
+                continue;
+            }
+            let Some(deadline) = job.deadline else {
+                continue;
+            };
+            if now < deadline {
+                continue;
+            }
+            job.state = JobState::Failed;
+            job.error = Some(format!(
+                "deadline exceeded: deadline_ms={} elapsed before completion",
+                job.spec.deadline_ms.unwrap_or(0)
+            ));
+            expired = true;
+            if job.in_flight.is_empty() {
+                job.data = None;
+                st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
+                job.mem_charge = 0;
+            }
+        }
+        if expired {
+            let jobs = &st.jobs;
+            st.queue.retain(|&(id, _)| {
+                jobs.get(&id)
+                    .map(|j| matches!(j.state, JobState::Queued | JobState::Running))
+                    .unwrap_or(false)
+            });
+            self.notify_progress();
+        }
+    }
+
     /// Write a checkpoint snapshot to the spool, dropping it if a newer
     /// snapshot of the same job has already been written (snapshots are
     /// taken under the state lock but written outside it, so arrival
@@ -861,50 +988,6 @@ fn write_checkpoint_file(fs: &dyn SpoolFs, dir: &Path, ck: &Checkpoint) {
             "epi-server: checkpoint write for job {} failed: {e}",
             ck.job_id
         );
-    }
-}
-
-/// Fail every queued/running job whose `deadline_ms=` budget has
-/// expired, drain their queued shards, and release the memory charge of
-/// any that have nothing left in flight. Runs under the state lock on
-/// every API call and worker wake, so a deadline fires even on an
-/// otherwise idle engine. Workers abandon the rest of a claimed batch
-/// through the existing failed-job abandon path. (Nothing new needs
-/// checkpointing: shard results were persisted as they landed, and the
-/// checkpoint format does not store the lifecycle state.)
-fn sweep_deadlines(state: &mut EngineState) {
-    let now = Instant::now();
-    let st = &mut *state;
-    let mut expired = false;
-    for job in st.jobs.values_mut() {
-        if !matches!(job.state, JobState::Queued | JobState::Running) {
-            continue;
-        }
-        let Some(deadline) = job.deadline else {
-            continue;
-        };
-        if now < deadline {
-            continue;
-        }
-        job.state = JobState::Failed;
-        job.error = Some(format!(
-            "deadline exceeded: deadline_ms={} elapsed before completion",
-            job.spec.deadline_ms.unwrap_or(0)
-        ));
-        expired = true;
-        if job.in_flight.is_empty() {
-            job.data = None;
-            st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-            job.mem_charge = 0;
-        }
-    }
-    if expired {
-        let jobs = &st.jobs;
-        st.queue.retain(|&(id, _)| {
-            jobs.get(&id)
-                .map(|j| matches!(j.state, JobState::Queued | JobState::Running))
-                .unwrap_or(false)
-        });
     }
 }
 
@@ -1017,7 +1100,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                 // Deadlines fire on worker wakes too, so an expired job
                 // is failed (and its queue entries drained) even while
                 // every client is silent.
-                sweep_deadlines(st);
+                shared.sweep_deadlines(st);
                 if let Some((job_id, shard)) = st.queue.pop() {
                     match st.jobs.get_mut(&job_id) {
                         Some(job)
@@ -1142,6 +1225,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                         }
                         snapshot_if_spooled(job, shared.spool_dir.as_deref())
                     };
+                    shared.notify_progress();
                     shared.write_checkpoint(checkpoint);
                     break;
                 }
@@ -1206,6 +1290,8 @@ fn worker_loop(shared: &Shared, widx: usize) {
                     abandon,
                 )
             };
+            // waiters first: the disk write must not delay them
+            shared.notify_progress();
             shared.write_checkpoint(checkpoint);
             if abandon {
                 break;
@@ -1294,7 +1380,7 @@ mod tests {
         // monolithic scan bit-for-bit
         let mut top = epi_core::result::TopK::new(6);
         for id in [a.id, b.id] {
-            for (_, cands) in engine.partial(id).unwrap() {
+            for (_, cands) in engine.partial(id, &ShardSet::new()).unwrap() {
                 for c in cands {
                     top.push(c.score, c.triple);
                 }
@@ -1922,10 +2008,10 @@ mod tests {
         engine.wait(st.id, Duration::from_secs(30)).unwrap();
         // exactly the first two harvests fail, the third succeeds in full
         for _ in 0..2 {
-            let err = engine.partial(st.id).unwrap_err();
+            let err = engine.partial(st.id, &ShardSet::new()).unwrap_err();
             assert!(err.contains("injected fault"), "{err}");
         }
-        let harvest = engine.partial(st.id).unwrap();
+        let harvest = engine.partial(st.id, &ShardSet::new()).unwrap();
         assert_eq!(harvest.len(), 4);
         engine.stop();
     }

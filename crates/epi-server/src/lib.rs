@@ -41,8 +41,9 @@
 //! |---------|-------|
 //! | `SUBMIT <spec keys>` (see below) | `OK job=<id> state=queued done=0 total=<S> in_flight=0 combos=<C> [simd=<tier>]` |
 //! | `STATUS <id>` | `OK job=<id> state=<s> done=<d> total=<S> in_flight=<f> combos=<C> [simd=<tier>] [dataset_hash=<16 hex>] [error=<e>]` |
+//! | `WAIT <id> [done>=K] [timeout_ms=T]` | the `STATUS` line, held back until the job is stable, `done ≥ K`, or `T` ms passed (then it is the current, unfinished status — not an error) |
 //! | `RESULT <id>` | `OK job=<id> count=<k>` then `k` x `CAND <i0> <i1> <i2> <bits-hex> <score>` then `END` (job must be `done`) |
-//! | `PARTIAL <id>` | `OK job=<id> count=<s>` then per completed shard `SHARD <idx> <n>` + `n` x `CAND <i0> <i1> <i2> <bits-hex>`, then `END` — any job state |
+//! | `PARTIAL <id> [have=<compact set>]` | `OK job=<id> count=<s>` then per completed shard not in `have` `SHARD <idx> <n>` + `n` x `CAND <i0> <i1> <i2> <bits-hex>`, then `END` — any job state |
 //! | `SHARDS_DONE <id>` | `OK job=<id> done=<compact set, e.g. 0-4,7>` — any job state |
 //! | `CANCEL <id>` | status line; pending shards dropped, finished ones kept |
 //! | `RESUME <id>` | status line; missing shards re-enqueued |
@@ -91,8 +92,13 @@
 //!
 //! `STATUS`'s `done` counts completed shards but not *which* ones;
 //! `SHARDS_DONE` + `PARTIAL` exist so a coordinator can harvest exactly
-//! the finished shards of a cancelled or dying sub-job and resubmit the
-//! rest elsewhere (see the `epi-coord` crate).
+//! the finished shards of a running, cancelled or dying sub-job and
+//! resubmit the rest elsewhere (see the `epi-coord` crate). `PARTIAL
+//! … have=` makes that harvest incremental — only lists the caller
+//! does not hold yet are cloned, formatted and sent — and `WAIT` makes
+//! completion pushed: the connection parks in the readiness loop and
+//! is answered by the transition it waits for ([`server`] module docs),
+//! so neither a coordinator nor [`Client::wait`] polls.
 //!
 //! States: `queued → running → done`, with `cancelled` (resumable) and
 //! `failed` (diagnostic in `error=`) off the main path.

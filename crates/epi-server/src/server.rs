@@ -28,6 +28,40 @@
 //! Framing is pure transport — framed payloads carry exactly the text
 //! protocol's bytes — so both transports produce bit-identical replies.
 //!
+//! ## Parked `WAIT`s
+//!
+//! `WAIT <id> [done>=K] [timeout_ms=T]` is STATUS with the reply held
+//! back until there is something to say. A connection is in one of
+//! three states, and `WAIT` adds the third:
+//!
+//! ```text
+//!            request line                  stream exhausted
+//!   idle ───────────────────> streaming ──────────────────> idle
+//!     │  (RESULT/PARTIAL/JOBS)
+//!     │ WAIT, condition not met yet
+//!     └─────────────────────> parked ─────────────────────> idle
+//!                                job stable | done ≥ K | T elapsed
+//!                                (reply: the status line, as STATUS)
+//! ```
+//!
+//! A parked connection holds a `Waiter` (job id, `K`, deadline) and
+//! nothing else: no thread, no timer. The loop re-examines every
+//! waiter on every wake — its deadline is folded into the poll timeout
+//! next to the accept backoff and the drain — and what wakes the loop
+//! when a *worker thread* moves the job is the [`WakeChannel`]: a
+//! socket pair registered with the poller like any connection, written
+//! one byte per burst by the engine's progress hook. The engine fires
+//! that hook only while a [`ProgressWatch`] is registered, and the loop
+//! holds one exactly while some connection is parked, so a server
+//! nobody waits on pays one relaxed atomic load per recorded shard and
+//! never touches the channel. Requests pipelined behind a parked
+//! `WAIT` stay buffered (bounded: the connection stops being read once
+//! a request's worth has accumulated) and are served in order after
+//! it; a peer that hangs up while parked is noticed by the read that
+//! returns 0 and its slot — and with the last one, the watch — is
+//! freed; SHUTDOWN answers every parked `WAIT` with `ERR server
+//! shutting down`, like any request met while draining.
+//!
 //! ## Backpressure
 //!
 //! Per connection: requests longer than [`MAX_REQUEST_LEN`] are refused
@@ -38,15 +72,17 @@
 //! therefore costs the server one bounded buffer, never unbounded
 //! memory, and never blocks other connections.
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, ProgressWatch};
 use crate::frame;
 use crate::job::JobStatus;
 use crate::spec::{escape, JobSpec};
 use epi_core::result::Candidate;
+use epi_core::shard::ShardSet;
 use polling::{Event, Poller};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,6 +117,10 @@ const ACCEPT_BATCH: usize = 32;
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 const LISTENER_KEY: usize = 0;
+
+/// Poller key of the wake channel's read end (connection keys are
+/// `slot + 1`, so the top of the range is free).
+const WAKE_KEY: usize = usize::MAX;
 
 /// A running job service bound to a TCP address.
 pub struct Server {
@@ -189,6 +229,13 @@ struct EventLoop<'a> {
     /// `Some(deadline)` once SHUTDOWN was received: no new connections,
     /// in-flight replies flush until the deadline, then the loop exits.
     draining: Option<Instant>,
+    /// How engine threads interrupt `poller.wait` when a job a parked
+    /// `WAIT` is watching makes progress.
+    wake: Arc<WakeChannel>,
+    /// Held exactly while some connection has a `WAIT` parked: the
+    /// engine only signals `wake` while a watch is registered, so an
+    /// unwatched job's record path pays one relaxed load per shard.
+    watch: Option<ProgressWatch>,
 }
 
 impl<'a> EventLoop<'a> {
@@ -196,6 +243,15 @@ impl<'a> EventLoop<'a> {
         server.listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         poller.add(&server.listener, Event::readable(LISTENER_KEY))?;
+        let wake = Arc::new(WakeChannel::new()?);
+        poller.add(&wake.rx, Event::readable(WAKE_KEY))?;
+        let hook = Arc::clone(&wake);
+        if !server
+            .engine
+            .set_progress_hook(Box::new(move || hook.notify()))
+        {
+            return Err(std::io::Error::other("engine already has an event loop"));
+        }
         Ok(Self {
             server,
             poller,
@@ -203,6 +259,8 @@ impl<'a> EventLoop<'a> {
             accept_backoff: ACCEPT_BACKOFF_FLOOR,
             accept_retry_at: None,
             draining: None,
+            wake,
+            watch: None,
         })
     }
 
@@ -226,6 +284,10 @@ impl<'a> EventLoop<'a> {
                 };
                 if ev.key == LISTENER_KEY {
                     self.accept_ready();
+                } else if ev.key == WAKE_KEY {
+                    // the service pass below re-examines every parked
+                    // WAIT; all the event has to do is clear the channel
+                    self.wake.drain();
                 } else if ev.readable {
                     self.read_ready(ev.key - 1, scratch.as_mut_slice());
                 }
@@ -235,7 +297,7 @@ impl<'a> EventLoop<'a> {
 
             let mut shutdown = false;
             for slot in 0..self.conns.len() {
-                shutdown |= self.service_conn(slot);
+                shutdown |= self.service_conn(slot, now);
                 self.flush_conn(slot);
             }
             if shutdown {
@@ -243,6 +305,9 @@ impl<'a> EventLoop<'a> {
             }
             for slot in 0..self.conns.len() {
                 self.update_interest(slot);
+            }
+            if !self.conns.iter().flatten().any(|c| c.waiting.is_some()) {
+                self.watch = None;
             }
 
             if let Some(deadline) = self.draining {
@@ -254,19 +319,22 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Next poll timeout: the nearest of the accept-backoff retry and
-    /// the drain deadline; `None` (block) when neither is pending.
+    /// Next poll timeout: the nearest of the accept-backoff retry, the
+    /// drain deadline and the parked `WAIT`s' own timeouts; `None`
+    /// (block) when none is pending.
     fn wait_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
-        let mut timeout: Option<Duration> = None;
-        if let Some(at) = self.accept_retry_at {
-            timeout = Some(at.saturating_duration_since(now));
-        }
-        if let Some(deadline) = self.draining {
-            let d = deadline.saturating_duration_since(now);
-            timeout = Some(timeout.map_or(d, |t| t.min(d)));
-        }
-        timeout
+        let waiters = self
+            .conns
+            .iter()
+            .flatten()
+            .filter_map(|c| c.waiting.as_ref()?.deadline);
+        [self.accept_retry_at, self.draining]
+            .into_iter()
+            .flatten()
+            .chain(waiters)
+            .min()
+            .map(|at| at.saturating_duration_since(now))
     }
 
     fn accept_ready(&mut self) {
@@ -361,8 +429,9 @@ impl<'a> EventLoop<'a> {
     /// buffered complete lines (one reply stream in flight at a time)
     /// and pump the in-flight stream into the write buffer up to the
     /// high-water mark. Returns true when this connection requested
-    /// SHUTDOWN.
-    fn service_conn(&mut self, slot: usize) -> bool {
+    /// SHUTDOWN. `now` is the loop's one clock read of this wake; the
+    /// parked `WAIT`'s deadline is stamped from and checked against it.
+    fn service_conn(&mut self, slot: usize, now: Instant) -> bool {
         let draining = self.draining.is_some();
         let accept_errors = self.server.accept_errors.load(Ordering::Relaxed);
         let engine = self.server.engine.as_ref();
@@ -373,7 +442,22 @@ impl<'a> EventLoop<'a> {
         let mut progress = true;
         while progress && conn.outbuf.len() < HIGH_WATER {
             progress = false;
-            while conn.pending.is_none() && !conn.close_after_flush {
+            if let Some(w) = &conn.waiting {
+                // register before looking, so a transition the look
+                // misses finds the registration and wakes the loop
+                if self.watch.is_none() {
+                    self.watch = Some(engine.watch_progress());
+                }
+                match w.resolve(engine, now) {
+                    Some(reply) => {
+                        conn.queue_reply(reply.as_bytes());
+                        conn.waiting = None;
+                        progress = true;
+                    }
+                    None => break,
+                }
+            }
+            while conn.pending.is_none() && conn.waiting.is_none() && !conn.close_after_flush {
                 let Some(pos) = conn.line_in.iter().position(|&b| b == b'\n') else {
                     break;
                 };
@@ -393,10 +477,11 @@ impl<'a> EventLoop<'a> {
                     conn.close_after_flush = true;
                     break;
                 }
-                let (reply, is_shutdown) = dispatch(request, engine, accept_errors);
+                let (reply, is_shutdown) = dispatch(request, engine, accept_errors, now);
                 match reply {
                     Reply::Line(s) => conn.queue_reply(s.as_bytes()),
                     Reply::Stream(rs) => conn.pending = Some(Box::new(rs)),
+                    Reply::Park(w) => conn.waiting = Some(w),
                 }
                 if is_shutdown {
                     conn.refuse_input = true;
@@ -462,6 +547,14 @@ impl<'a> EventLoop<'a> {
             .poller
             .modify(&self.server.listener, Event::none(LISTENER_KEY));
         for slot in 0..self.conns.len() {
+            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                if conn.waiting.take().is_some() {
+                    // a parked WAIT is a request still owed its answer:
+                    // refuse it like any other request met while draining
+                    conn.queue_reply(b"ERR server shutting down\n");
+                    conn.close_after_flush = true;
+                }
+            }
             let idle = match self.conns.get(slot).and_then(Option::as_ref) {
                 Some(c) => c.outbuf.is_empty() && c.pending.is_none() && !c.close_after_flush,
                 None => false,
@@ -481,11 +574,16 @@ impl<'a> EventLoop<'a> {
         };
         // read only while this connection may produce another request:
         // not mid-reply (strict request/reply), not above the write
-        // high-water mark (backpressure), not refused or draining
+        // high-water mark (backpressure), not refused or draining. A
+        // parked WAIT keeps reading — that is how a vanished peer is
+        // noticed and its waiter freed — until the requests pipelined
+        // behind it fill one request's worth of buffer.
+        let backlog_full = conn.waiting.is_some() && conn.line_in.len() >= MAX_REQUEST_LEN;
         let want_read = !conn.refuse_input
             && !conn.close_after_flush
             && conn.pending.is_none()
             && conn.outbuf.len() < HIGH_WATER
+            && !backlog_full
             && !draining;
         // write interest must stay armed while a reply stream is in
         // flight even if outbuf drained completely: writable is
@@ -534,6 +632,10 @@ struct Conn {
     /// Streaming reply in flight; no further request is read or
     /// dispatched until it completes.
     pending: Option<Box<ReplyStream>>,
+    /// A `WAIT` whose condition does not hold yet. Requests pipelined
+    /// behind it stay buffered in `line_in` and are dispatched, in
+    /// order, once it is answered.
+    waiting: Option<Waiter>,
     /// Fatal input state (protocol error, SHUTDOWN): discard reads.
     refuse_input: bool,
     /// Close once `outbuf` drains.
@@ -553,6 +655,7 @@ impl Conn {
             line_in: Vec::new(),
             outbuf: Vec::new(),
             pending: None,
+            waiting: None,
             refuse_input: false,
             close_after_flush: false,
             want_read: true,
@@ -610,10 +713,104 @@ impl Conn {
 
 // ------------------------------------------------------------- replies
 
-/// One dispatched reply: a single line, or a header + streamed body.
+/// One dispatched reply: a single line, a header + streamed body, or
+/// (WAIT) a line owed once the job gets there.
 enum Reply {
     Line(String),
     Stream(ReplyStream),
+    Park(Waiter),
+}
+
+/// A parked `WAIT <id> [done>=K] [timeout_ms=T]`.
+struct Waiter {
+    id: u64,
+    /// Answer once this many shards are done (`done>=K`), if given.
+    min_done: Option<u64>,
+    /// Answer with whatever the status is by then; `None` = no timeout.
+    deadline: Option<Instant>,
+}
+
+impl Waiter {
+    fn parse(rest: &[&str], now: Instant) -> Result<Self, String> {
+        let (id, opts) = rest.split_first().ok_or("expected a job id")?;
+        let mut w = Waiter {
+            id: id.parse().map_err(|_| format!("bad job id {id:?}"))?,
+            min_done: None,
+            deadline: None,
+        };
+        for opt in opts {
+            if let Some(k) = opt.strip_prefix("done>=") {
+                w.min_done = Some(k.parse().map_err(|_| format!("bad done>= count {k:?}"))?);
+            } else if let Some(ms) = opt.strip_prefix("timeout_ms=") {
+                let ms = ms.parse().map_err(|_| format!("bad timeout_ms {ms:?}"))?;
+                // a timeout too far out to represent is no timeout
+                w.deadline = now.checked_add(Duration::from_millis(ms));
+            } else {
+                return Err(format!("unknown WAIT option {opt:?}"));
+            }
+        }
+        Ok(w)
+    }
+
+    /// The reply line once it is due: the job is stable, `done` reached
+    /// `min_done`, the timeout passed (the line is then the current,
+    /// unfinished status — not an error), or the job does not exist.
+    fn resolve(&self, engine: &Engine, now: Instant) -> Option<String> {
+        match engine.status(self.id) {
+            Ok(s) => (s.is_stable()
+                || self.min_done.is_some_and(|k| s.done >= k)
+                || self.deadline.is_some_and(|at| now >= at))
+            .then(|| status_line(&s)),
+            Err(e) => Some(format!("ERR {e}\n")),
+        }
+    }
+}
+
+/// Cross-thread wake for the readiness loop: a socket pair whose read
+/// end the poller watches. The engine's progress hook writes one byte
+/// (one per burst: `pending` suppresses the rest until the loop has
+/// looked), which is the only way a worker thread can interrupt
+/// `poll(2)` with std alone.
+struct WakeChannel {
+    tx: UnixStream,
+    rx: UnixStream,
+    /// A byte is in flight that the loop has not drained yet.
+    pending: AtomicBool,
+}
+
+impl WakeChannel {
+    fn new() -> std::io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Self {
+            tx,
+            rx,
+            pending: AtomicBool::new(false),
+        })
+    }
+
+    /// Called from engine threads, after the transition was published
+    /// under the engine's state lock.
+    fn notify(&self) {
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            // cannot fill up: at most one byte is ever in flight
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Called by the loop before it re-examines the parked waiters.
+    /// Empty the socket first and clear the flag second: a notify that
+    /// lands in between finds the flag still set and writes nothing,
+    /// but its transition is already published and the examination
+    /// that follows sees it; one that lands after the clear writes a
+    /// fresh byte. Clearing first could leave the flag set with no
+    /// byte behind it, and every later wake would be swallowed.
+    fn drain(&self) {
+        let mut sink = [0u8; 16];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        self.pending.store(false, Ordering::SeqCst);
+    }
 }
 
 impl Reply {
@@ -741,7 +938,7 @@ fn status_line(s: &JobStatus) -> String {
     out
 }
 
-fn dispatch(request: &str, engine: &Engine, accept_errors: u64) -> (Reply, bool) {
+fn dispatch(request: &str, engine: &Engine, accept_errors: u64, now: Instant) -> (Reply, bool) {
     let mut parts = request.split_whitespace();
     let verb = parts.next().unwrap_or("").to_ascii_uppercase();
     let rest: Vec<&str> = parts.collect();
@@ -753,6 +950,10 @@ fn dispatch(request: &str, engine: &Engine, accept_errors: u64) -> (Reply, bool)
         "STATUS" => parse_id(&rest)
             .and_then(|id| engine.status(id))
             .map(|s| Reply::Line(status_line(&s))),
+        // STATUS, deferred: the connection parks until the job is stable,
+        // `done>=K` holds or `timeout_ms=` passes, and is then answered
+        // with the ordinary status line.
+        "WAIT" => Waiter::parse(&rest, now).map(Reply::Park),
         "CANCEL" => parse_id(&rest)
             .and_then(|id| engine.cancel(id))
             .map(|s| Reply::Line(status_line(&s))),
@@ -773,11 +974,12 @@ fn dispatch(request: &str, engine: &Engine, accept_errors: u64) -> (Reply, bool)
             let set = engine.shards_done(id)?;
             Ok(Reply::Line(format!("OK job={id} done={}\n", set.to_compact())))
         }),
-        "PARTIAL" => parse_id(&rest).and_then(|id| {
-            // Per-shard candidate dumps of completed shards, any job
-            // state — how a coordinator harvests a cancelled straggler's
-            // finished work before resubmitting the rest elsewhere.
-            let shards = engine.partial(id)?;
+        "PARTIAL" => parse_partial(&rest).and_then(|(id, have)| {
+            // Per-shard candidate dumps of completed shards the caller
+            // does not `have=` yet, any job state — how a coordinator
+            // harvests a running sub-job incrementally, and a cancelled
+            // straggler's finished work before resubmitting the rest.
+            let shards = engine.partial(id, &have)?;
             Ok(Reply::Stream(ReplyStream::new(
                 format!("OK job={id} count={}\n", shards.len()),
                 StreamBody::Partial {
@@ -838,7 +1040,7 @@ fn dispatch(request: &str, engine: &Engine, accept_errors: u64) -> (Reply, bool)
         }
         "" => Err("empty request".to_string()),
         other => Err(format!(
-            "unknown verb {other:?} (try SUBMIT/STATUS/RESULT/PARTIAL/SHARDS_DONE/CANCEL/RESUME/JOBS/STATS/PING/SHUTDOWN)"
+            "unknown verb {other:?} (try SUBMIT/STATUS/WAIT/RESULT/PARTIAL/SHARDS_DONE/CANCEL/RESUME/JOBS/STATS/PING/SHUTDOWN)"
         )),
     };
     let reply = match reply {
@@ -852,5 +1054,19 @@ fn parse_id(rest: &[&str]) -> Result<u64, String> {
     match rest {
         [id] => id.parse().map_err(|_| format!("bad job id {id:?}")),
         _ => Err("expected exactly one job id".to_string()),
+    }
+}
+
+/// `PARTIAL <id> [have=<compact shard set>]`; no `have=` is the empty set.
+fn parse_partial(rest: &[&str]) -> Result<(u64, ShardSet), String> {
+    match rest {
+        [_] => Ok((parse_id(rest)?, ShardSet::new())),
+        [id, have] => {
+            let set = have
+                .strip_prefix("have=")
+                .ok_or_else(|| format!("expected have=<shard set>, got {have:?}"))?;
+            Ok((parse_id(&[id])?, ShardSet::parse_compact(set)?))
+        }
+        _ => Err("expected a job id and at most one have=<shard set>".to_string()),
     }
 }

@@ -4,6 +4,7 @@
 //! many-connections smoke test — all against one single-threaded
 //! accept loop.
 
+use epi_core::shard::ShardSet;
 use epi_server::frame;
 use epi_server::server::MAX_REQUEST_LEN;
 use epi_server::{Client, EngineConfig, JobSpec, Server, ServerHandle};
@@ -164,8 +165,12 @@ fn framed_and_text_transports_yield_bit_identical_replies() {
         assert_eq!(x.score.to_bits(), y.score.to_bits());
     }
 
-    let p_text = text.partial(a.id).expect("PARTIAL over text");
-    let p_framed = framed.partial(a.id).expect("PARTIAL over framed");
+    let p_text = text
+        .partial(a.id, &ShardSet::new())
+        .expect("PARTIAL over text");
+    let p_framed = framed
+        .partial(a.id, &ShardSet::new())
+        .expect("PARTIAL over framed");
     assert_eq!(p_text.len(), p_framed.len());
     for ((sa, ca), (sb, cb)) in p_text.iter().zip(&p_framed) {
         assert_eq!(sa, sb);
@@ -184,7 +189,96 @@ fn framed_and_text_transports_yield_bit_identical_replies() {
             .expect("SHARDS_DONE framed")
             .to_compact(),
     );
+
+    // the incremental harvest and the parked wait, byte for byte: the
+    // framed reply's payloads concatenate to exactly the text reply
+    for (request, last_line) in [
+        (format!("PARTIAL {} have=0-3,7,40-99", a.id), "END\n"),
+        (format!("PARTIAL {} have=0-11", a.id), "END\n"),
+        (format!("WAIT {} done>=5 timeout_ms=60000", a.id), ""),
+        (format!("WAIT {}", b.id), ""),
+        (format!("WAIT {} timeout_ms=0", 9_999), ""),
+    ] {
+        let over_text = raw_reply(addr, &request, last_line, false);
+        let over_frames = raw_reply(addr, &request, last_line, true);
+        assert!(!over_text.is_empty(), "{request}");
+        assert_eq!(
+            String::from_utf8_lossy(&over_text),
+            String::from_utf8_lossy(&over_frames),
+            "{request}"
+        );
+    }
+    let have: ShardSet = ShardSet::parse_compact("0-3,7,40-99").unwrap();
+    let inc = framed.partial(a.id, &have).expect("PARTIAL have= framed");
+    assert_eq!(
+        inc.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+        vec![4, 5, 6, 8, 9, 10, 11],
+        "exactly the completed shards the caller lacks"
+    );
     handle.shutdown();
+}
+
+/// The reply bytes to one request on a fresh connection, read up to and
+/// including `last_line` (or the first line when it is empty): raw text
+/// bytes, or the concatenated payloads of the reply frames.
+fn raw_reply(addr: SocketAddr, request: &str, last_line: &str, framed: bool) -> Vec<u8> {
+    let (stream, _) = raw_socket(addr);
+    let mut reader: Box<dyn BufRead> = if framed {
+        let mut w = frame::FrameWriter::new(stream.try_clone().unwrap());
+        writeln!(w, "{request}").unwrap();
+        w.flush().unwrap();
+        Box::new(BufReader::new(frame::FrameReader::new(stream)))
+    } else {
+        writeln!(&stream, "{request}").unwrap();
+        Box::new(BufReader::new(stream))
+    };
+    let mut out = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("reply line") > 0,
+            "{request}: closed early"
+        );
+        out.extend_from_slice(line.as_bytes());
+        if last_line.is_empty() || line == last_line || line.starts_with("ERR ") {
+            return out;
+        }
+    }
+}
+
+/// A peer's header is a claim, not a size: `count=2^50` must cost an
+/// error when the lines do not follow, not a 36-petabyte allocation
+/// (which is SIGABRT — no `Err`, no `catch_unwind`, the coordinator
+/// process is gone).
+#[test]
+fn a_reply_header_claiming_2_pow_50_entries_is_an_error_not_an_abort() {
+    const HUGE: u64 = 1 << 50;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let replies = [
+        format!("OK job=1 count={HUGE}\n"),
+        format!("OK job=1 count={HUGE}\n"),
+        format!("OK job=1 count=1\nSHARD 0 {HUGE}\n"),
+        format!("OK count={HUGE}\n"),
+    ];
+    let fake = std::thread::spawn(move || {
+        for reply in replies {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(conn.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            conn.write_all(reply.as_bytes()).unwrap();
+            // and hang up: the promised lines never come
+        }
+    });
+    let connect = || Client::connect_with_deadline(addr, IO_DEADLINE).unwrap();
+    let closed = |e: String| assert!(e.contains("closed the connection"), "{e}");
+    closed(connect().result(1).unwrap_err());
+    closed(connect().partial(1, &ShardSet::new()).unwrap_err());
+    closed(connect().partial(1, &ShardSet::new()).unwrap_err());
+    closed(connect().jobs().unwrap_err());
+    fake.join().unwrap();
 }
 
 #[test]

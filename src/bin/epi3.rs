@@ -600,6 +600,14 @@ fn print_federation_report(r: &FederationReport) {
         };
         println!("  {addr}: {n} shard(s){mark}");
     }
+    // what the run cost the fleet: requests per verb, and per-shard
+    // lists fetched (== shards unless a steal re-ran one mid-scan)
+    let rpcs: Vec<String> = r.rpcs.iter().map(|(v, n)| format!("{v}={n}")).collect();
+    println!(
+        "  rpcs: {}  harvested_shards={}",
+        rpcs.join(" "),
+        r.harvested_shards
+    );
     for e in &r.readmissions {
         println!(
             "  readmitted {} after {:.1} ms down at +{:.2} s",

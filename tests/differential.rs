@@ -369,7 +369,6 @@ fn federated_scan_matches_monolithic_at_every_tier() {
     }
     fn config(addrs: Vec<String>) -> FederationConfig {
         let mut cfg = FederationConfig::new(addrs);
-        cfg.poll_cap = Duration::from_millis(20);
         cfg.steal_patience = Duration::from_millis(50);
         cfg
     }

@@ -315,7 +315,7 @@ fn shard_set_jobs_and_progress_verbs_work_over_the_wire() {
     // shard index reproduces the monolithic scan bit-for-bit
     let mut top = threeway_epistasis::epi_core::result::TopK::new(4);
     for id in [a.id, b.id] {
-        for (_, cands) in client.partial(id).unwrap() {
+        for (_, cands) in client.partial(id, &ShardSet::new()).unwrap() {
             for c in cands {
                 top.push(c.score, c.triple);
             }
@@ -334,7 +334,7 @@ fn shard_set_jobs_and_progress_verbs_work_over_the_wire() {
 
     // both verbs fail cleanly on unknown jobs
     assert!(client.shards_done(999).is_err());
-    assert!(client.partial(999).is_err());
+    assert!(client.partial(999, &ShardSet::new()).is_err());
 
     handle.shutdown();
 }
