@@ -6,6 +6,14 @@
 //! guarantees of `TopK` depend on exact score values, and a lossy decimal
 //! round-trip would break them.
 //!
+//! One format serves all three spool files of a job: the header-only
+//! base written at SUBMIT, the one-record delta a worker writes per
+//! finished shard ([`Checkpoint::write_records`]) and the compacted
+//! whole-job file ([`Checkpoint::write_to`]). The reader checks the
+//! magic, each record's declared candidate count and the `end`
+//! sentinel — there is no checksum — so a torn file of any kind is
+//! rejected as a whole, never half-applied.
+//!
 //! Format (one record per line, space-separated, values `%`-escaped):
 //!
 //! ```text
@@ -51,11 +59,33 @@ impl Checkpoint {
         }
     }
 
+    /// Does every shard the job owns (all of them, or its `shard_set`)
+    /// have a record?
+    pub fn is_complete(&self) -> bool {
+        let unowned = |i: usize| match &self.spec.shard_set {
+            Some(set) => !set.contains(i as u64),
+            None => false,
+        };
+        let mut slots = self.shard_results.iter().enumerate();
+        slots.all(|(i, r)| r.is_some() || unowned(i))
+    }
+
+    /// Take the shard records of another file of the same job that
+    /// this one lacks (a shard in both carries the same bits). A file
+    /// of another job, or laid out for another shard count, is ignored.
+    pub fn absorb(&mut self, other: Checkpoint) {
+        if other.job_id == self.job_id && other.shard_results.len() == self.shard_results.len() {
+            for (slot, theirs) in self.shard_results.iter_mut().zip(other.shard_results) {
+                *slot = slot.take().or(theirs);
+            }
+        }
+    }
+
     /// Rebuild a `Job` in `Cancelled` state (resume re-enqueues the
-    /// missing shards); `Done` if nothing is missing.
+    /// missing shards); `Done` if no shard the job owns is missing.
     pub fn into_job(self) -> Job {
         let plan = ShardPlan::triples(self.snps, self.spec.shards);
-        let complete = self.shard_results.iter().all(|r| r.is_some());
+        let complete = self.is_complete();
         let fail_partial_left = self.spec.fail_partial;
         let mut job = Job {
             id: self.job_id,
@@ -70,7 +100,6 @@ impl Checkpoint {
             in_flight: Default::default(),
             data: None,
             error: None,
-            ckpt_seq: 0,
             dataset_hash: None,
             fail_partial_left,
             // restored jobs carry no deadline or memory charge until
@@ -90,13 +119,29 @@ impl Checkpoint {
     }
 
     /// Serialize to a writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
+    pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
+        let done = self.shard_results.iter().enumerate();
+        let records = done.filter_map(|(idx, r)| Some((idx as u64, r.as_deref()?)));
+        Self::write_records(w, self.job_id, &self.spec, self.snps, records)
+    }
+
+    /// Serialize a checkpoint that carries exactly `records` (ascending
+    /// shard index), from borrowed parts: what [`Checkpoint::write_to`]
+    /// emits for a checkpoint holding those shards and no others. The
+    /// engine's per-shard delta is the one-record case, built from what
+    /// the worker already holds — no [`Checkpoint`], no clone.
+    pub fn write_records<'a, W: Write>(
+        mut w: W,
+        job_id: u64,
+        spec: &JobSpec,
+        snps: usize,
+        records: impl IntoIterator<Item = (u64, &'a [Candidate])>,
+    ) -> io::Result<()> {
         writeln!(w, "{MAGIC}")?;
-        writeln!(w, "job {}", self.job_id)?;
-        writeln!(w, "spec {}", self.spec.to_tokens())?;
-        writeln!(w, "snps {}", self.snps)?;
-        for (idx, result) in self.shard_results.iter().enumerate() {
-            let Some(cands) = result else { continue };
+        writeln!(w, "job {job_id}")?;
+        writeln!(w, "spec {}", spec.to_tokens())?;
+        writeln!(w, "snps {snps}")?;
+        for (idx, cands) in records {
             writeln!(w, "shard {idx} {}", cands.len())?;
             for c in cands {
                 writeln!(

@@ -13,12 +13,21 @@
 //! instead of collapsing when several workers interleave shard-by-shard
 //! (the same locality scheme as `epi_core::pool::plan_claims`, bounded
 //! by the identical `⌈shards / 2·workers⌉` balance cap). Per-shard
-//! results are recorded under the job, a checkpoint is persisted after
-//! every completed shard, and the final top-K is merged when the last
-//! shard lands — so a cancel or crash at any point loses at most the
-//! shards currently in flight; a cancel also makes the worker abandon
-//! the unscanned remainder of its batch, so batching never widens the
-//! cancel window beyond the shard mid-scan.
+//! results are recorded under the job, each recorded shard is persisted
+//! as its own small delta file, and the final top-K is merged when the
+//! last shard lands — so a cancel or crash at any point loses at most
+//! the shards currently in flight; a cancel also makes the worker
+//! abandon the unscanned remainder of its batch, so batching never
+//! widens the cancel window beyond the shard mid-scan.
+//!
+//! A spooled job is three kinds of file in the one [`Checkpoint`]
+//! format: `job-<id>.ckpt` (a header-only base from SUBMIT on, the
+//! whole job once it finishes), its rotation `job-<id>.ckpt.prev`, and
+//! one `job-<id>.shard-<n>` delta per recorded shard — a worker writes
+//! only the shard it just scanned. The record that finishes the job
+//! compacts: two verified whole copies, then the deltas are unlinked.
+//! Restore is the union of whatever decodes, so a failed or torn write
+//! of any one file costs at most the shard it carried.
 //!
 //! Resource governance sits in front of all of that: a memory
 //! accountant charges every admitted job its encoded-dataset + result
@@ -40,7 +49,8 @@ use epi_core::prefixcache::PairPrefixCache;
 use epi_core::result::Candidate;
 use epi_core::scan::Version;
 use epi_core::shard::{scan_shard_split_cached, scan_shard_unsplit, ShardPlan, ShardSet};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -149,13 +159,6 @@ struct Shared {
     /// each worker after every shard, so STATS reports the whole pool —
     /// not whichever worker a single counter happened to follow.
     pair_stats: Vec<(AtomicU64, AtomicU64)>,
-    /// Checkpoint snapshots are taken under the state lock but written to
-    /// disk outside it, so two writers can race file-creation order. Each
-    /// snapshot carries a per-job sequence number (`Job::ckpt_seq`); this
-    /// map records the highest sequence written per job and stale writes
-    /// are skipped, so a newer checkpoint is never overwritten by an
-    /// older one.
-    spool_written: Mutex<HashMap<u64, u64>>,
     /// All spool reads/writes go through this (fault injection point).
     fs: Arc<dyn SpoolFs>,
     /// Memory budget; see [`EngineConfig::mem_budget`].
@@ -209,7 +212,6 @@ impl Engine {
             pair_stats: (0..threads)
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect(),
-            spool_written: Mutex::new(HashMap::new()),
             fs,
             mem_budget: cfg.mem_budget,
             max_jobs_per_tenant: cfg.max_jobs_per_tenant,
@@ -231,39 +233,52 @@ impl Engine {
         })
     }
 
+    /// Restore every job the spool holds: per job id, the **union** of
+    /// whatever decodes. A finished job costs one read — its `.ckpt`
+    /// decodes complete and nothing else is opened. Otherwise the
+    /// header comes from `.ckpt`, else `.ckpt.prev`, else any delta, and
+    /// every delta that decodes fills its shard's slot (a torn one
+    /// lacks `end` and is skipped). Deltas beside a job that restores
+    /// complete are what a crashed, failed or raced compaction left:
+    /// compacting again is what unlinks them.
     fn restore_spool(shared: &Shared, dir: &Path) {
         let Ok(mut paths) = shared.fs.read_dir(dir) else {
             return;
         };
         paths.sort();
+        // job id → its delta files (none for a job that is only `.ckpt`)
+        let mut found: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
+        for path in paths {
+            if let Some((id, is_delta)) = parse_spool_name(&path) {
+                let deltas = found.entry(id).or_default();
+                if is_delta {
+                    deltas.push(path);
+                }
+            }
+        }
         let decode = |bytes: &[u8]| Checkpoint::read_from(bytes);
         let mut state = lock(&shared.state);
-        for path in &paths {
-            let name = path.to_string_lossy();
-            let restored = if name.ends_with(".ckpt") {
-                // Torn-file fallback: a disk fault (or crash) mid-write
-                // can leave the primary unreadable; checkpoint rotation
-                // keeps the previous good snapshot as `.ckpt.prev`.
-                spool::read_rotated(&*shared.fs, path, decode).ok()
-            } else if name.ends_with(".ckpt.prev") {
-                // Orphaned rotation: the primary vanished entirely (a
-                // fault between the two renames). Restore from the
-                // `.prev` unless the primary is present in the listing
-                // (then the branch above already handled this job).
-                let primary = PathBuf::from(name.trim_end_matches(".prev"));
-                match paths.binary_search(&primary) {
-                    Ok(_) => None,
-                    Err(_) => shared.fs.read(path).ok().and_then(|b| decode(&b).ok()),
+        for (id, deltas) in found {
+            let mut ck = spool::read_rotated(&*shared.fs, &ckpt_path(dir, id), decode).ok();
+            if !ck.as_ref().is_some_and(Checkpoint::is_complete) {
+                let read = |path: &PathBuf| decode(&shared.fs.read(path).ok()?).ok();
+                for delta in deltas.iter().filter_map(read) {
+                    match &mut ck {
+                        Some(ck) => ck.absorb(delta),
+                        None => ck = Some(delta),
+                    }
                 }
-            } else {
-                None
+            }
+            let Some(ck) = ck else {
+                continue;
             };
+            if ck.is_complete() && !deltas.is_empty() {
+                shared.compact(&ck);
+            }
             // The checkpoint carries the shard plan's SNP count, so a
             // restore needs no dataset access at all; the file is only
             // reloaded (and validated) when the job is resumed.
-            let Some(mut job) = restored.map(Checkpoint::into_job) else {
-                continue;
-            };
+            let mut job = ck.into_job();
             // A spool on shared storage may have been written by a more
             // capable host: re-clamp the forced tier exactly as submit()
             // does, or a resumed job would dispatch unsupported SIMD
@@ -406,6 +421,19 @@ impl Engine {
             Some(set) => set.iter().collect(),
             None => (0..shards).collect(),
         };
+        // A spooled job is on disk before any worker can see it: the
+        // header-only base keeps the job and its `job_token` across a
+        // crash that lands before the first shard does. Written after
+        // the commit below, it could lose the race against a short
+        // job's compaction and rotate the finished checkpoint away.
+        if let Some(dir) = &self.shared.spool_dir {
+            let mut bytes = Vec::new();
+            let written = Checkpoint::write_records(&mut bytes, id, &spec, m, std::iter::empty())
+                .and_then(|()| spool::write_rotated(&*self.shared.fs, &ckpt_path(dir, id), &bytes));
+            if let Err(e) = written {
+                log_spool_error("base checkpoint", id, &e);
+            }
+        }
         // Phase B — commit under the lock: swap the stat-based
         // reservation for the encoded planes' exact resident size.
         let mut state = lock(&self.shared.state);
@@ -426,7 +454,6 @@ impl Engine {
             in_flight: Default::default(),
             data: Some(Arc::new(data)),
             error: None,
-            ckpt_seq: 0,
             dataset_hash: Some(hash),
             fail_partial_left,
             deadline,
@@ -443,10 +470,13 @@ impl Engine {
             st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
             job.mem_charge = 0;
             let status = job.status();
-            let snapshot = snapshot_if_spooled(&mut job, self.shared.spool_dir.as_deref());
+            let spooled = self.shared.spool_dir.is_some();
+            let finished = spooled.then(|| Checkpoint::of_job(&job));
             st.jobs.insert(id, job);
             drop(state);
-            self.shared.write_checkpoint(snapshot);
+            if let Some(ck) = finished {
+                self.shared.compact(&ck);
+            }
             return Ok(status);
         }
         for shard in owned {
@@ -504,8 +534,10 @@ impl Engine {
     }
 
     /// Cancel a job: pending shards are dropped from the queue and
-    /// completed shard results stay checkpointed. Of a worker's claimed
-    /// batch, only the shard *mid-scan* finishes and is recorded — the
+    /// completed shard results stay checkpointed (each is already on
+    /// disk as its delta, so there is nothing to write here). Of a
+    /// worker's claimed batch, only the shard *mid-scan* finishes and is
+    /// recorded — the
     /// unscanned remainder is handed back (leaves `in_flight`) for a
     /// later RESUME, so the status returned here may briefly show more
     /// `in_flight` shards than will actually be recorded. Idempotent for
@@ -532,10 +564,8 @@ impl Engine {
             job.mem_charge = 0;
         }
         let status = job.status();
-        let snapshot = snapshot_if_spooled(job, self.shared.spool_dir.as_deref());
         drop(state);
         self.shared.notify_progress();
-        self.shared.write_checkpoint(snapshot);
         Ok(status)
     }
 
@@ -848,7 +878,6 @@ impl Engine {
         for handle in workers.drain(..) {
             let _ = handle.join();
         }
-        let mut snapshots = Vec::new();
         {
             let mut state = lock(&self.shared.state);
             let st = &mut *state;
@@ -860,14 +889,10 @@ impl Engine {
                     job.data = None;
                     st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
                     job.mem_charge = 0;
-                    snapshots.push(snapshot_if_spooled(job, self.shared.spool_dir.as_deref()));
                 }
             }
         }
         self.shared.notify_progress();
-        for snapshot in snapshots {
-            self.shared.write_checkpoint(snapshot);
-        }
     }
 }
 
@@ -943,52 +968,70 @@ impl Shared {
         }
     }
 
-    /// Write a checkpoint snapshot to the spool, dropping it if a newer
-    /// snapshot of the same job has already been written (snapshots are
-    /// taken under the state lock but written outside it, so arrival
-    /// order at this point is not snapshot order).
-    fn write_checkpoint(&self, snapshot: Option<(Checkpoint, u64)>) {
-        let (Some(dir), Some((ck, seq))) = (&self.spool_dir, snapshot) else {
+    /// Replace a finished job's files with two verified complete copies,
+    /// then drop its deltas: the whole job goes to `job-<id>.ckpt`
+    /// (tmp → `.prev` → rename rotation) and to `.ckpt.prev`, each is
+    /// read back and compared with what was meant to be written (a torn
+    /// write reports success), and only then comes one unlink per
+    /// recorded shard. Any failure stops before the first unlink — the
+    /// deltas stay the truth and the next restore compacts again, which
+    /// is also what removes a stray an unlink failed to.
+    fn compact(&self, ck: &Checkpoint) {
+        let Some(dir) = &self.spool_dir else {
             return;
         };
-        let mut written = lock(&self.spool_written);
-        let last = written.entry(ck.job_id).or_insert(0);
-        if *last >= seq {
-            return; // a newer snapshot already reached the disk
+        let fs = &*self.fs;
+        let primary = ckpt_path(dir, ck.job_id);
+        let prev = spool::sibling(&primary, ".prev");
+        let mut bytes = Vec::new();
+        let verified = |path: &Path, bytes: &[u8]| {
+            if fs.read(path)? == bytes {
+                Ok(())
+            } else {
+                Err(io::Error::other("read back differs from what was written"))
+            }
+        };
+        let copies = ck
+            .write_to(&mut bytes)
+            .and_then(|()| spool::write_rotated(fs, &primary, &bytes))
+            .and_then(|()| verified(&primary, &bytes))
+            .and_then(|()| fs.write(&prev, &bytes))
+            .and_then(|()| verified(&prev, &bytes));
+        if let Err(e) = copies {
+            return log_spool_error("compaction", ck.job_id, &e);
         }
-        *last = seq;
-        // Hold the write guard through the file write: it serialises the
-        // writes themselves, so an older snapshot can never land after a
-        // newer one even at the filesystem level.
-        write_checkpoint_file(&*self.fs, dir, &ck);
+        let recorded = ck.shard_results.iter().enumerate();
+        for (shard, _) in recorded.filter(|(_, r)| r.is_some()) {
+            let _ = fs.remove_file(&delta_path(dir, ck.job_id, shard as u64));
+        }
     }
 }
 
-/// Checkpoint snapshot (with its ordering sequence), but only when a
-/// spool directory is configured. Must be called under the state lock:
-/// bumping `ckpt_seq` there is what makes the sequence match snapshot
-/// order.
-fn snapshot_if_spooled(job: &mut Job, spool: Option<&Path>) -> Option<(Checkpoint, u64)> {
-    spool?;
-    job.ckpt_seq += 1;
-    Some((Checkpoint::of_job(job), job.ckpt_seq))
+/// `<dir>/job-<id>.ckpt`: the header-only base from SUBMIT on, the
+/// whole job after compaction.
+fn ckpt_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("job-{id}.ckpt"))
 }
 
-/// Write `<dir>/job-<id>.ckpt` through the spool's tmp → `.prev` →
-/// rename rotation ([`spool::write_rotated`]), so any single disk fault
-/// leaves a checkpoint `restore_spool` can still load.
-fn write_checkpoint_file(fs: &dyn SpoolFs, dir: &Path, ck: &Checkpoint) {
-    let path = dir.join(format!("job-{}.ckpt", ck.job_id));
-    let mut buf = Vec::new();
-    let written = ck
-        .write_to(&mut buf)
-        .and_then(|()| spool::write_rotated(fs, &path, &buf));
-    if let Err(e) = written {
-        eprintln!(
-            "epi-server: checkpoint write for job {} failed: {e}",
-            ck.job_id
-        );
-    }
+/// `<dir>/job-<id>.shard-<n>`: the delta of one recorded shard. Never
+/// the extension `ckpt` — whatever lists `*.ckpt` finds whole jobs only.
+fn delta_path(dir: &Path, id: u64, shard: u64) -> PathBuf {
+    dir.join(format!("job-{id}.shard-{shard}"))
+}
+
+/// Job id of a spool file that holds job state (a `.tmp` does not), and
+/// whether it is a delta — from its name alone.
+fn parse_spool_name(path: &Path) -> Option<(u64, bool)> {
+    let name = path.file_name()?.to_str()?;
+    let (id, kind) = name.strip_prefix("job-")?.split_once('.')?;
+    let is_delta = kind.starts_with("shard-");
+    (is_delta || kind == "ckpt" || kind == "ckpt.prev").then_some((id.parse().ok()?, is_delta))
+}
+
+/// A spool write failed. The job runs on: until a crash every spool
+/// file is redundant with memory, and restore takes whatever did land.
+fn log_spool_error(what: &str, job_id: u64, e: &io::Error) {
+    eprintln!("epi-server: {what} write for job {job_id} failed: {e}");
 }
 
 /// Queued/Running jobs accounted to `tenant` (concurrent-job quota).
@@ -1132,7 +1175,8 @@ fn worker_loop(shared: &Shared, widx: usize) {
                             let data = Arc::clone(job.data.as_ref().expect("queued job has data"));
                             let ranges: Vec<_> =
                                 shards.iter().map(|&s| job.plan.range(s)).collect();
-                            break Some((job_id, shards, ranges, job.spec.clone(), data));
+                            let snps = job.plan.num_snps();
+                            break Some((job_id, shards, ranges, job.spec.clone(), snps, data));
                         }
                         // job vanished or was cancelled after enqueue: drop task
                         _ => continue,
@@ -1145,7 +1189,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                     .0;
             }
         };
-        let Some((job_id, shards, ranges, spec, data)) = claimed else {
+        let Some((job_id, shards, ranges, spec, snps, data)) = claimed else {
             return;
         };
 
@@ -1203,7 +1247,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                     // unwound; drop it rather than trust partial streams.
                     cache = None;
                     let msg = panic_message(payload.as_ref());
-                    let checkpoint = {
+                    {
                         let mut state = lock(&shared.state);
                         let st = &mut *state;
                         // drop the job's pending shards: it cannot finish
@@ -1223,10 +1267,8 @@ fn worker_loop(shared: &Shared, widx: usize) {
                             st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
                             job.mem_charge = 0;
                         }
-                        snapshot_if_spooled(job, shared.spool_dir.as_deref())
-                    };
+                    }
                     shared.notify_progress();
-                    shared.write_checkpoint(checkpoint);
                     break;
                 }
             };
@@ -1244,15 +1286,26 @@ fn worker_loop(shared: &Shared, widx: usize) {
             }
             shared.shards_scanned.fetch_add(1, Ordering::Relaxed);
 
+            // The shard's delta is serialised before the lock, from what
+            // this worker already holds; without a spool nothing is built.
+            let sorted = top.into_sorted();
+            let delta = shared.spool_dir.as_deref().and_then(|dir| {
+                let mut bytes = Vec::new();
+                let record = [(shard, sorted.as_slice())];
+                // writing into a Vec cannot fail
+                Checkpoint::write_records(&mut bytes, job_id, &spec, snps, record).ok()?;
+                Some((delta_path(dir, job_id, shard), bytes))
+            });
+
             // record the result
-            let (checkpoint, abandon) = {
+            let (finished, abandon) = {
                 let mut state = lock(&shared.state);
                 let st = &mut *state;
                 let Some(job) = st.jobs.get_mut(&job_id) else {
                     break;
                 };
                 job.in_flight.remove(&shard);
-                job.shard_results[shard as usize] = Some(top.into_sorted());
+                job.shard_results[shard as usize] = Some(sorted);
                 // "all done" = no *owned* shard missing — a shard_set job
                 // finishes when its partition is scanned, not the plan.
                 let all_done = job.missing_shards().is_empty();
@@ -1285,14 +1338,26 @@ fn worker_loop(shared: &Shared, widx: usize) {
                     st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
                     job.mem_charge = 0;
                 }
-                (
-                    snapshot_if_spooled(job, shared.spool_dir.as_deref()),
-                    abandon,
-                )
+                // The whole job is cloned once, by the record that
+                // finishes it, and only for a spool.
+                let compacts = job.state == JobState::Done && shared.spool_dir.is_some();
+                (compacts.then(|| Checkpoint::of_job(job)), abandon)
             };
-            // waiters first: the disk write must not delay them
+            // Waiters first: the disk must not delay them. Then this
+            // shard's delta, and only after it the compaction, so one
+            // that fails still leaves every shard on disk. Deltas have
+            // distinct paths, so workers need no ordering between their
+            // writes; one landing after another worker's compaction
+            // unlinked its path is a stray the next restore removes.
             shared.notify_progress();
-            shared.write_checkpoint(checkpoint);
+            if let Some((path, bytes)) = delta {
+                if let Err(e) = shared.fs.write(&path, &bytes) {
+                    log_spool_error("shard delta", job_id, &e);
+                }
+            }
+            if let Some(ck) = finished {
+                shared.compact(&ck);
+            }
             if abandon {
                 break;
             }

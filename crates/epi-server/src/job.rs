@@ -124,9 +124,6 @@ pub struct Job {
     pub data: Option<Arc<EncodedData>>,
     /// Failure diagnostic when `state == Failed`.
     pub error: Option<String>,
-    /// Monotonic checkpoint-snapshot counter; the engine uses it to drop
-    /// stale disk writes that lost the race against a newer snapshot.
-    pub ckpt_seq: u64,
     /// Content hash of the dataset as loaded on *this* node, recorded
     /// whenever the file is (re)read. `None` for checkpoint-restored
     /// jobs until RESUME reloads the data. Echoed in STATUS so a
@@ -289,7 +286,6 @@ mod tests {
             in_flight: HashSet::new(),
             data: None,
             error: None,
-            ckpt_seq: 0,
             dataset_hash: None,
             fail_partial_left: 0,
             deadline: None,

@@ -16,7 +16,8 @@
 //!                                 │                          │
 //!                            job table <── per-shard TopK ───┘
 //!                                 │
-//!                            spool dir (job-<id>.ckpt)
+//!                            spool dir (job-<id>.ckpt, .ckpt.prev,
+//!                                       job-<id>.shard-<n>)
 //! ```
 //!
 //! * [`spec::JobSpec`] — what to scan: dataset path, Version, shard
@@ -86,9 +87,13 @@
 //! and `deadline_ms=` windows are swept on every admission/claim wake.
 //! The spool behind checkpoint persistence goes through an injectable
 //! [`spool::SpoolFs`] ([`spool::FaultySpoolFs`] injects ENOSPC/EIO/
-//! torn writes on a seeded schedule); checkpoints rotate
-//! tmp → `.prev` → primary so a torn primary restores from the
-//! rotated previous copy.
+//! torn writes on a seeded schedule). A job is a header-only base
+//! `job-<id>.ckpt` written at SUBMIT plus one `job-<id>.shard-<n>`
+//! delta per recorded shard; restore is the union of whatever decodes,
+//! so a fault costs at most the shard it hit. The record that finishes
+//! the job compacts it: the whole job goes to `.ckpt` (tmp → `.prev`
+//! → primary rotation) and `.ckpt.prev`, both are read back, and only
+//! then are the deltas unlinked ([`engine`] module docs).
 //!
 //! `STATUS`'s `done` counts completed shards but not *which* ones;
 //! `SHARDS_DONE` + `PARTIAL` exist so a coordinator can harvest exactly

@@ -5,14 +5,16 @@
 //! `std::fs` directly. Production uses [`RealSpoolFs`]; the recovery
 //! suite wraps it in [`FaultySpoolFs`], which injects ENOSPC / EIO /
 //! torn-write faults on a scripted or seeded schedule — the disk-side
-//! sibling of `epi_coord::chaos`'s network fault proxy. Because
-//! checkpoint writes rotate ([`write_rotated`]: tmp → `.prev` → rename
-//! — the one implementation both the engine's job checkpoints and
-//! `epi_coord`'s federation checkpoint go through), any injected fault
-//! leaves either the previous good file or the new one intact, never
-//! only a half-written primary; the tests in `engine.rs` /
-//! `tests/overload.rs` prove restart always recovers to the last good
-//! checkpoint.
+//! sibling of `epi_coord::chaos`'s network fault proxy. Whole-file
+//! replacements rotate ([`write_rotated`]: tmp → `.prev` → rename — the
+//! one implementation the engine's base / compacted job checkpoint and
+//! `epi_coord`'s federation checkpoint go through), so any injected
+//! fault leaves either the previous good file or the new one intact,
+//! never only a half-written primary. The engine's per-shard deltas
+//! are plain single [`SpoolFs::write`]s of files nothing else names: a
+//! torn one fails to decode and costs its shard alone. The tests in
+//! `engine.rs` / `tests/durable.rs` prove restart always recovers
+//! everything that reached the disk whole.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,7 +71,7 @@ impl SpoolFs for RealSpoolFs {
 }
 
 /// `<path><suffix>`: the `.tmp` and `.prev` siblings of a rotated file.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut p = path.as_os_str().to_owned();
     p.push(suffix);
     PathBuf::from(p)
