@@ -32,6 +32,7 @@
 //! the price of a single O(1) correction per table.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::disallowed_methods)]
 
 pub mod encode;
 pub mod layout;

@@ -19,6 +19,8 @@
 //! order, through one cache type instead of two parallel
 //! implementations. Both produce bit-identical tables (property-tested).
 
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::combin;
 use crate::k2::K2Scorer;
 use crate::pool;
@@ -178,6 +180,10 @@ pub fn scan_kway(
     let ds = SplitDataset::encode(genotypes, phenotype);
     let scorer = K2Scorer::new(genotypes.num_samples());
     let level = SimdLevel::detect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed time feeds ScanResult timing stats only; candidate ordering is pure popcount arithmetic"
+    )]
     let start = Instant::now();
     // worker state: TopK over (score, packed combo); combos are packed
     // into the triple type when k <= 3, otherwise tracked via index map

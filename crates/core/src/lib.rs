@@ -31,6 +31,7 @@
 //! job engine) amortise their stream materialisation through.
 
 #![deny(unsafe_code)]
+#![warn(clippy::disallowed_methods)]
 
 pub mod block;
 pub mod combin;
@@ -45,9 +46,9 @@ pub mod prefixcache;
 pub mod result;
 pub mod scan;
 pub mod shard;
-// The SIMD kernels are the one place unsafe is permitted: every other
-// module (and every other crate) forbids it, so `epi3 lint`'s unsafe
-// audit scope is provably just this module.
+// The SIMD kernels are the one place unsafe is permitted: the workspace
+// denies `unsafe_code` everywhere else (bar the `polling` shim's `poll(2)`
+// call), so the compiler keeps the unsafe audit scope to this module.
 #[allow(unsafe_code)]
 pub mod simd;
 pub mod table27;

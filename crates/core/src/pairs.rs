@@ -163,6 +163,10 @@ pub fn scan_pairs(
     let ones = OnesPlanes::for_dataset(&ds);
     let scorer = K2Scorer::new(genotypes.num_samples());
     let level = SimdLevel::detect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pair-cache build timer is telemetry; cache contents are a deterministic function of the genotype matrix"
+    )]
     let start = Instant::now();
     let states = pool::run_dynamic(
         m,

@@ -3,6 +3,8 @@
 //! Each worker thread keeps a local [`TopK`] (no synchronisation in the
 //! hot loop, per §IV-A) and the driver merges them in a final reduction.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

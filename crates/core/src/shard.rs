@@ -35,6 +35,8 @@
 //! assert_eq!(merged.into_sorted(), scan(&g, &p, &cfg).top);
 //! ```
 
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::combin::n_choose_k;
 use crate::result::{TopK, Triple};
 use crate::scan::{build_objective, ScanConfig, Version};
@@ -509,6 +511,10 @@ fn scan_sharded_inner(
     let task = |i: usize, (top, cache): &mut (TopK, PairPrefixCache)| {
         top.merge(scan_one(plan.range(i as u64), cache));
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shard-scan timer is telemetry; shard results and merge order are index-driven"
+    )]
     let start = Instant::now();
     let states = pool::run_claims(&pool::plan_claims(&[n_shards], w), w, make, task);
     let elapsed = start.elapsed();

@@ -30,9 +30,7 @@ pub use bitgenome::SimdLevel;
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
 #[inline]
-// SAFETY: register-only ALU ops, no memory access; callers (the dispatch
-// arms and the avx512 wrappers) guarantee avx2+popcnt are present.
-unsafe fn popcnt256(v: core::arch::x86_64::__m256i) -> u32 {
+fn popcnt256(v: core::arch::x86_64::__m256i) -> u32 {
     use core::arch::x86_64::*;
     let lo = _mm256_castsi256_si128(v);
     let hi = _mm256_extracti128_si256::<1>(v);
@@ -49,9 +47,7 @@ unsafe fn popcnt256(v: core::arch::x86_64::__m256i) -> u32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,popcnt")]
 #[inline]
-// SAFETY: register-only; callers guarantee avx512f+avx512bw+popcnt, and
-// every avx512-capable part also has the avx2 that popcnt256 needs.
-unsafe fn popcnt512(v: core::arch::x86_64::__m512i) -> u32 {
+fn popcnt512(v: core::arch::x86_64::__m512i) -> u32 {
     use core::arch::x86_64::*;
     // avx512f implies avx2 on every real part; the cast/extract pair is
     // plain avx512f
@@ -68,9 +64,7 @@ unsafe fn popcnt512(v: core::arch::x86_64::__m512i) -> u32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-// SAFETY: register-only (LUT lives in a register, not memory); callers
-// guarantee avx2 is present.
-unsafe fn popcnt256_lanes(v: core::arch::x86_64::__m256i) -> core::arch::x86_64::__m256i {
+fn popcnt256_lanes(v: core::arch::x86_64::__m256i) -> core::arch::x86_64::__m256i {
     use core::arch::x86_64::*;
     #[rustfmt::skip]
     let lut = _mm256_setr_epi8(
@@ -89,8 +83,7 @@ unsafe fn popcnt256_lanes(v: core::arch::x86_64::__m256i) -> core::arch::x86_64:
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
 #[inline]
-// SAFETY: register-only; callers guarantee avx2+popcnt are present.
-unsafe fn reduce256_lanes(v: core::arch::x86_64::__m256i) -> u32 {
+fn reduce256_lanes(v: core::arch::x86_64::__m256i) -> u32 {
     use core::arch::x86_64::*;
     let lo = _mm256_castsi256_si128(v);
     let hi = _mm256_extracti128_si256::<1>(v);
@@ -103,8 +96,7 @@ unsafe fn reduce256_lanes(v: core::arch::x86_64::__m256i) -> u32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-// SAFETY: register-only; callers guarantee avx512f+avx512bw are present.
-unsafe fn popcnt512_lanes(v: core::arch::x86_64::__m512i) -> core::arch::x86_64::__m512i {
+fn popcnt512_lanes(v: core::arch::x86_64::__m512i) -> core::arch::x86_64::__m512i {
     use core::arch::x86_64::*;
     #[rustfmt::skip]
     let lut = _mm512_broadcast_i32x4(_mm_setr_epi8(
@@ -122,8 +114,7 @@ unsafe fn popcnt512_lanes(v: core::arch::x86_64::__m512i) -> core::arch::x86_64:
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-// SAFETY: register-only; callers guarantee avx512f+avx512bw are present.
-unsafe fn reduce512_lanes(v: core::arch::x86_64::__m512i) -> u32 {
+fn reduce512_lanes(v: core::arch::x86_64::__m512i) -> u32 {
     core::arch::x86_64::_mm512_reduce_add_epi64(v) as u32
 }
 
@@ -141,13 +132,13 @@ pub type Planes<'a> = (
 /// requested SIMD tier.
 ///
 /// # Panics
-/// Panics (debug) if `level` exceeds the host's capability or slice
-/// lengths differ.
+/// Panics (debug) if `level` exceeds the host's capability; panics if
+/// slice lengths differ (the vector kernels' loads rely on it).
 #[inline]
 pub fn accumulate27(level: SimdLevel, planes: Planes<'_>, acc: &mut [u32; 27]) {
     debug_assert!(level <= SimdLevel::detect(), "SIMD tier not available");
     let (x0, x1, y0, y1, z0, z1) = planes;
-    debug_assert!(
+    assert!(
         x0.len() == x1.len()
             && x0.len() == y0.len()
             && x0.len() == y1.len()
@@ -202,11 +193,7 @@ pub fn accumulate27_scalar(planes: Planes<'_>, acc: &mut [u32; 27]) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-// SAFETY: reached only through the Avx2 dispatch arm, so avx2+popcnt are
-// present. Loads are unaligned (`loadu`) at offsets i..i+LANES with
-// i + LANES <= chunks * LANES <= x0.len(); `accumulate27` checks all six
-// slices share that length, and the scalar tail uses safe indexing.
-unsafe fn accumulate27_avx2(
+fn accumulate27_avx2(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -221,7 +208,9 @@ unsafe fn accumulate27_avx2(
     let ones = _mm256_set1_epi64x(-1);
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i);
+        // SAFETY: i + L <= chunks * L <= x0.len(), and `accumulate27`
+        // asserts that the six planes share x0's length.
+        let ld = |s: &[Word]| unsafe { _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let (zv0, zv1) = (ld(z0), ld(z1));
@@ -259,10 +248,7 @@ unsafe fn accumulate27_avx2(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-// SAFETY: reached only through the Avx512 dispatch arm, so
-// avx512f+avx512bw+popcnt are present. Same in-bounds argument as the
-// avx2 kernel with LANES = 8.
-unsafe fn accumulate27_avx512(
+fn accumulate27_avx512(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -276,7 +262,9 @@ unsafe fn accumulate27_avx512(
     let chunks = x0.len() / L;
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= x0.len(), and `accumulate27`
+        // asserts that the six planes share x0's length.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let (zv0, zv1) = (ld(z0), ld(z1));
@@ -315,10 +303,7 @@ unsafe fn accumulate27_avx512(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-// SAFETY: reached only through the Avx512Vpopcnt dispatch arm, so
-// avx512f+avx512bw+avx512vpopcntdq are present. Same in-bounds argument
-// as the avx2 kernel with LANES = 8.
-unsafe fn accumulate27_avx512_vpopcnt(
+fn accumulate27_avx512_vpopcnt(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -332,7 +317,9 @@ unsafe fn accumulate27_avx512_vpopcnt(
     let chunks = x0.len() / L;
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= x0.len(), and `accumulate27`
+        // asserts that the six planes share x0's length.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let (zv0, zv1) = (ld(z0), ld(z1));
@@ -458,11 +445,7 @@ fn fill_pair_cache_tail(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-// SAFETY: reached only through the Avx2 dispatch arm, so avx2+popcnt are
-// present. The asserts at function entry pin the slice-length
-// relationships; all `loadu`/`storeu` offsets stay below chunks * LANES,
-// which those asserts bound by each row's length.
-unsafe fn fill_pair_cache_avx2(
+fn fill_pair_cache_avx2(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -482,7 +465,9 @@ unsafe fn fill_pair_cache_avx2(
     let mut vacc = [_mm256_setzero_si256(); 9];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i);
+        // SAFETY: i + L <= chunks * L <= len, and the asserts above pin
+        // every plane to len words.
+        let ld = |s: &[Word]| unsafe { _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let xs = [xv0, xv1, _mm256_xor_si256(_mm256_or_si256(xv0, xv1), ones)];
@@ -491,7 +476,10 @@ unsafe fn fill_pair_cache_avx2(
             for (gy, &yv) in ys.iter().enumerate() {
                 let p = gx * 3 + gy;
                 let v = _mm256_and_si256(xv, yv);
-                _mm256_storeu_si256(streams.as_mut_ptr().add(p * len + i) as *mut __m256i, v);
+                // SAFETY: p * len + i + L <= 9 * len == streams.len() (asserted above).
+                unsafe {
+                    _mm256_storeu_si256(streams.as_mut_ptr().add(p * len + i) as *mut __m256i, v)
+                };
                 vacc[p] = _mm256_add_epi64(vacc[p], popcnt256_lanes(v));
             }
         }
@@ -504,10 +492,7 @@ unsafe fn fill_pair_cache_avx2(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-// SAFETY: reached only through the Avx512 dispatch arm, so
-// avx512f+avx512bw+popcnt are present. Same entry asserts and in-bounds
-// argument as the avx2 variant with LANES = 8.
-unsafe fn fill_pair_cache_avx512(
+fn fill_pair_cache_avx512(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -526,7 +511,9 @@ unsafe fn fill_pair_cache_avx512(
     let mut vacc = [_mm512_setzero_si512(); 9];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= len, and the asserts above pin
+        // every plane to len words.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let xs = [xv0, xv1, _mm512_ternarylogic_epi64(xv0, xv1, xv1, 0x01)];
@@ -535,7 +522,8 @@ unsafe fn fill_pair_cache_avx512(
             for (gy, &yv) in ys.iter().enumerate() {
                 let p = gx * 3 + gy;
                 let v = _mm512_and_si512(xv, yv);
-                _mm512_storeu_si512(streams.as_mut_ptr().add(p * len + i) as *mut _, v);
+                // SAFETY: p * len + i + L <= 9 * len == streams.len() (asserted above).
+                unsafe { _mm512_storeu_si512(streams.as_mut_ptr().add(p * len + i) as *mut _, v) };
                 vacc[p] = _mm512_add_epi64(vacc[p], popcnt512_lanes(v));
             }
         }
@@ -548,10 +536,7 @@ unsafe fn fill_pair_cache_avx512(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-// SAFETY: reached only through the Avx512Vpopcnt dispatch arm, so
-// avx512f+avx512bw+avx512vpopcntdq are present. Same entry asserts and
-// in-bounds argument as the avx2 variant with LANES = 8.
-unsafe fn fill_pair_cache_avx512_vpopcnt(
+fn fill_pair_cache_avx512_vpopcnt(
     x0: &[Word],
     x1: &[Word],
     y0: &[Word],
@@ -568,7 +553,9 @@ unsafe fn fill_pair_cache_avx512_vpopcnt(
     let mut vacc = [_mm512_setzero_si512(); 9];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= len, and the asserts above pin
+        // every plane to len words.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let (xv0, xv1) = (ld(x0), ld(x1));
         let (yv0, yv1) = (ld(y0), ld(y1));
         let xs = [xv0, xv1, _mm512_ternarylogic_epi64(xv0, xv1, xv1, 0x01)];
@@ -577,7 +564,8 @@ unsafe fn fill_pair_cache_avx512_vpopcnt(
             for (gy, &yv) in ys.iter().enumerate() {
                 let p = gx * 3 + gy;
                 let v = _mm512_and_si512(xv, yv);
-                _mm512_storeu_si512(streams.as_mut_ptr().add(p * len + i) as *mut _, v);
+                // SAFETY: p * len + i + L <= 9 * len == streams.len() (asserted above).
+                unsafe { _mm512_storeu_si512(streams.as_mut_ptr().add(p * len + i) as *mut _, v) };
                 vacc[p] = _mm512_add_epi64(vacc[p], _mm512_popcnt_epi64(v));
             }
         }
@@ -670,11 +658,7 @@ fn fill_prefix_cache_tail(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-// SAFETY: reached only through the Avx2 dispatch arm, so avx2+popcnt are
-// present. `fill_prefix_cache` asserts the row/output length
-// relationships before dispatching; every `loadu`/`storeu` offset is
-// below chunks * LANES, which those asserts bound by the row length.
-unsafe fn fill_prefix_cache_avx2(
+fn fill_prefix_cache_avx2(
     parent: &[Word],
     p0: &[Word],
     p1: &[Word],
@@ -691,13 +675,17 @@ unsafe fn fill_prefix_cache_avx2(
     let mut vacc = [_mm256_setzero_si256(); 3];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i);
+        // SAFETY: i + L <= chunks * L <= len, and `fill_prefix_cache` asserts
+        // that p0 and p1 have the parent's length.
+        let ld = |s: &[Word]| unsafe { _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i) };
         let pv = ld(parent);
         let (z0, z1) = (ld(p0), ld(p1));
         let zs = [z0, z1, _mm256_xor_si256(_mm256_or_si256(z0, z1), ones)];
         for (g, &zv) in zs.iter().enumerate() {
             let v = _mm256_and_si256(pv, zv);
-            _mm256_storeu_si256(out.as_mut_ptr().add(g * len + i) as *mut __m256i, v);
+            // SAFETY: g * len + i + L <= 3 * len == out.len() (asserted in
+            // `fill_prefix_cache`).
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(g * len + i) as *mut __m256i, v) };
             vacc[g] = _mm256_add_epi64(vacc[g], popcnt256_lanes(v));
         }
     }
@@ -709,10 +697,7 @@ unsafe fn fill_prefix_cache_avx2(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-// SAFETY: reached only through the Avx512 dispatch arm, so
-// avx512f+avx512bw+popcnt are present. Same caller asserts and in-bounds
-// argument as the avx2 variant with LANES = 8.
-unsafe fn fill_prefix_cache_avx512(
+fn fill_prefix_cache_avx512(
     parent: &[Word],
     p0: &[Word],
     p1: &[Word],
@@ -728,14 +713,18 @@ unsafe fn fill_prefix_cache_avx512(
     let mut vacc = [_mm512_setzero_si512(); 3];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= len, and `fill_prefix_cache` asserts
+        // that p0 and p1 have the parent's length.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let pv = ld(parent);
         let (z0, z1) = (ld(p0), ld(p1));
         // ternarylogic imm 0x01 = 1 iff all inputs 0 => NOR(a, b) with c=b
         let zs = [z0, z1, _mm512_ternarylogic_epi64(z0, z1, z1, 0x01)];
         for (g, &zv) in zs.iter().enumerate() {
             let v = _mm512_and_si512(pv, zv);
-            _mm512_storeu_si512(out.as_mut_ptr().add(g * len + i) as *mut _, v);
+            // SAFETY: g * len + i + L <= 3 * len == out.len() (asserted in
+            // `fill_prefix_cache`).
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(g * len + i) as *mut _, v) };
             vacc[g] = _mm512_add_epi64(vacc[g], popcnt512_lanes(v));
         }
     }
@@ -747,10 +736,7 @@ unsafe fn fill_prefix_cache_avx512(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-// SAFETY: reached only through the Avx512Vpopcnt dispatch arm, so
-// avx512f+avx512bw+avx512vpopcntdq are present. Same caller asserts and
-// in-bounds argument as the avx2 variant with LANES = 8.
-unsafe fn fill_prefix_cache_avx512_vpopcnt(
+fn fill_prefix_cache_avx512_vpopcnt(
     parent: &[Word],
     p0: &[Word],
     p1: &[Word],
@@ -764,13 +750,17 @@ unsafe fn fill_prefix_cache_avx512_vpopcnt(
     let mut vacc = [_mm512_setzero_si512(); 3];
     for c in 0..chunks {
         let i = c * L;
-        let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+        // SAFETY: i + L <= chunks * L <= len, and `fill_prefix_cache` asserts
+        // that p0 and p1 have the parent's length.
+        let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
         let pv = ld(parent);
         let (z0, z1) = (ld(p0), ld(p1));
         let zs = [z0, z1, _mm512_ternarylogic_epi64(z0, z1, z1, 0x01)];
         for (g, &zv) in zs.iter().enumerate() {
             let v = _mm512_and_si512(pv, zv);
-            _mm512_storeu_si512(out.as_mut_ptr().add(g * len + i) as *mut _, v);
+            // SAFETY: g * len + i + L <= 3 * len == out.len() (asserted in
+            // `fill_prefix_cache`).
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(g * len + i) as *mut _, v) };
             vacc[g] = _mm512_add_epi64(vacc[g], _mm512_popcnt_epi64(v));
         }
     }
@@ -795,8 +785,9 @@ unsafe fn fill_prefix_cache_avx512_vpopcnt(
 /// streams; kept as the named V5 entry point.
 ///
 /// # Panics
-/// Panics (debug) if `level` exceeds the host's capability, `z0`/`z1`
-/// lengths differ, or `pairs.len() != 9 * z0.len()`.
+/// Panics (debug) if `level` exceeds the host's capability or
+/// `pairs.len() != 9 * z0.len()`; panics if `z0`/`z1` lengths differ or
+/// `pairs` is too short.
 #[inline]
 pub fn accumulate18(
     level: SimdLevel,
@@ -817,8 +808,10 @@ pub fn accumulate18(
 /// prefix streams of a k-way scan share the V5 kernels.
 ///
 /// # Panics
-/// Panics (debug) if `level` exceeds the host's capability, lengths
-/// differ, or `acc.len()` is not a multiple of 3.
+/// Panics (debug) if `level` exceeds the host's capability, `streams`
+/// does not hold exactly `acc.len() / 3` streams, or `acc.len()` is not a
+/// multiple of 3; panics if `z0`/`z1` lengths differ or `streams` is too
+/// short.
 #[inline]
 pub fn accumulate_streams(
     level: SimdLevel,
@@ -837,9 +830,10 @@ pub fn accumulate_streams(
 /// full-range cached pair streams without copying them out first.
 ///
 /// # Panics
-/// Panics (debug) if `level` exceeds the host's capability, `z0`/`z1`
-/// lengths differ, `stride < z0.len()`, `acc.len()` is not a multiple of
-/// 3, or `streams` is too short for the last stream.
+/// Panics (debug) if `level` exceeds the host's capability,
+/// `stride < z0.len()`, or `acc.len()` is not a multiple of 3; panics if
+/// `z0`/`z1` lengths differ or `streams` is too short for the last stream
+/// (the vector kernels' loads rely on both).
 pub fn accumulate_streams_strided(
     level: SimdLevel,
     streams: &[Word],
@@ -849,14 +843,14 @@ pub fn accumulate_streams_strided(
     acc: &mut [u32],
 ) {
     debug_assert!(level <= SimdLevel::detect(), "SIMD tier not available");
-    debug_assert_eq!(z0.len(), z1.len());
+    assert_eq!(z0.len(), z1.len());
     debug_assert_eq!(acc.len() % 3, 0);
     debug_assert!(stride >= z0.len());
     let n = acc.len() / 3;
     if z0.is_empty() || n == 0 {
         return;
     }
-    debug_assert!(streams.len() >= (n - 1) * stride + z0.len());
+    assert!(streams.len() >= (n - 1) * stride + z0.len());
     match level {
         SimdLevel::Scalar => accumulate_streams_scalar_from(streams, stride, z0, z1, 0, acc),
         #[cfg(target_arch = "x86_64")]
@@ -913,11 +907,7 @@ fn accumulate_streams_scalar_from(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-// SAFETY: reached only through the Avx2 dispatch arm, so avx2+popcnt are
-// present. Stream rows are taken with bounds-checked slicing;
-// `accumulate_streams_strided` debug-asserts the stride/length contract,
-// and vector loads stop at chunks * LANES <= len for every row.
-unsafe fn accumulate_streams_avx2(
+fn accumulate_streams_avx2(
     streams: &[Word],
     stride: usize,
     z0: &[Word],
@@ -934,7 +924,10 @@ unsafe fn accumulate_streams_avx2(
         let mut c1 = 0u32;
         for c in 0..chunks {
             let i = c * L;
-            let ld = |s: &[Word]| _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i);
+            // SAFETY: i + L <= chunks * L <= len; `stream` is sliced to len words
+            // and `accumulate_streams_strided` asserts z1 has z0's length.
+            let ld =
+                |s: &[Word]| unsafe { _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i) };
             let xy = ld(stream);
             for (zs, cnt) in [(z0, &mut c0), (z1, &mut c1)] {
                 *cnt += popcnt256(_mm256_and_si256(xy, ld(zs)));
@@ -948,10 +941,7 @@ unsafe fn accumulate_streams_avx2(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-// SAFETY: reached only through the Avx512 dispatch arm, so
-// avx512f+avx512bw+popcnt are present. Same bounds argument as the avx2
-// variant with LANES = 8.
-unsafe fn accumulate_streams_avx512(
+fn accumulate_streams_avx512(
     streams: &[Word],
     stride: usize,
     z0: &[Word],
@@ -968,7 +958,9 @@ unsafe fn accumulate_streams_avx512(
         let mut c1 = 0u32;
         for c in 0..chunks {
             let i = c * L;
-            let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+            // SAFETY: i + L <= chunks * L <= len; `stream` is sliced to len words
+            // and `accumulate_streams_strided` asserts z1 has z0's length.
+            let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
             let xy = ld(stream);
             for (zs, cnt) in [(z0, &mut c0), (z1, &mut c1)] {
                 *cnt += popcnt512(_mm512_and_si512(xy, ld(zs)));
@@ -982,10 +974,7 @@ unsafe fn accumulate_streams_avx512(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-// SAFETY: reached only through the Avx512Vpopcnt dispatch arm, so
-// avx512f+avx512bw+avx512vpopcntdq are present. Same bounds argument as
-// the avx2 variant with LANES = 8.
-unsafe fn accumulate_streams_avx512_vpopcnt(
+fn accumulate_streams_avx512_vpopcnt(
     streams: &[Word],
     stride: usize,
     z0: &[Word],
@@ -1008,11 +997,16 @@ unsafe fn accumulate_streams_avx512_vpopcnt(
         let mut v1 = [_mm512_setzero_si512(); 9];
         for c in 0..chunks {
             let i = c * L;
-            let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+            // SAFETY: i + L <= chunks * L <= len; `stream` is sliced to len words
+            // and `accumulate_streams_strided` asserts z1 has z0's length.
+            let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
             let zv0 = ld(z0);
             let zv1 = ld(z1);
             for p in 0..9 {
-                let xy = _mm512_loadu_si512(streams.as_ptr().add(p * stride + i) as *const _);
+                // SAFETY: p * stride + i + L <= 8 * stride + len <= streams.len(),
+                // as `accumulate_streams_strided` asserts for n = 9.
+                let xy =
+                    unsafe { _mm512_loadu_si512(streams.as_ptr().add(p * stride + i) as *const _) };
                 v0[p] = _mm512_add_epi64(v0[p], _mm512_popcnt_epi64(_mm512_and_si512(xy, zv0)));
                 v1[p] = _mm512_add_epi64(v1[p], _mm512_popcnt_epi64(_mm512_and_si512(xy, zv1)));
             }
@@ -1030,7 +1024,9 @@ unsafe fn accumulate_streams_avx512_vpopcnt(
             let mut v1 = _mm512_setzero_si512();
             for c in 0..chunks {
                 let i = c * L;
-                let ld = |s: &[Word]| _mm512_loadu_si512(s.as_ptr().add(i) as *const _);
+                // SAFETY: i + L <= chunks * L <= len; `stream` is sliced to len words
+                // and `accumulate_streams_strided` asserts z1 has z0's length.
+                let ld = |s: &[Word]| unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const _) };
                 let xy = ld(stream);
                 v0 = _mm512_add_epi64(v0, _mm512_popcnt_epi64(_mm512_and_si512(xy, ld(z0))));
                 v1 = _mm512_add_epi64(v1, _mm512_popcnt_epi64(_mm512_and_si512(xy, ld(z1))));

@@ -221,6 +221,10 @@ fn copy_until_eof(mut src: TcpStream, mut dst: TcpStream, budget: Option<usize>)
             Some(left) => n.min(left),
             None => n,
         };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "take is min(bytes read, remaining byte budget), both bounded by buf.len()"
+        )]
         if dst.write_all(&buf[..take]).is_err() {
             break;
         }

@@ -19,6 +19,8 @@
 //! trailing `end` sentinel makes truncation detectable rather than
 //! silently loading a prefix.
 
+#![warn(clippy::disallowed_methods)]
+
 use epi_core::result::Candidate;
 use epi_core::shard::ShardSet;
 use epi_server::spool::{self, SpoolFs};
@@ -288,8 +290,10 @@ mod tests {
     #[test]
     fn non_finite_and_signed_zero_scores_roundtrip_bit_for_bit() {
         // the exact score set the server-side codec pins, reused here:
-        // every one of these breaks a decimal-text codec
-        let scores = [
+        // every one of these breaks a decimal-text codec. Then a few
+        // thousand seeded bit patterns, NaN payloads and subnormals
+        // included.
+        let specials = [
             f64::NAN,
             -f64::NAN,
             f64::from_bits(0x7ff8_0000_dead_beef), // NaN payload
@@ -300,11 +304,13 @@ mod tests {
             0.0,
             f64::MIN_POSITIVE / 2.0, // subnormal
         ];
+        let random = (0..4096).map(|i| f64::from_bits(epi_server::spool::seeded_roll(0xc0a7, i)));
         let mut ck = sample();
-        ck.top = scores
-            .iter()
+        ck.top = specials
+            .into_iter()
+            .chain(random)
             .enumerate()
-            .map(|(i, &s)| Candidate {
+            .map(|(i, s)| Candidate {
                 score: s,
                 triple: (i as u32, i as u32 + 1, i as u32 + 2),
             })

@@ -355,6 +355,10 @@ pub fn resume_from_spool(path: &Path, cfg: &FederationConfig) -> Result<Federati
         run.top.push(c.score, c.triple);
     }
     for (addr, count) in &ckpt.node_merged {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "node_merged is sized to the node count when the run starts; indices are node ids from the same list"
+        )]
         if let Some(i) = cfg.nodes.iter().position(|a| a == addr) {
             run.node_merged[i] = *count;
         }
@@ -493,6 +497,10 @@ fn drive(mut run: Run<'_>) -> Result<FederationReport, String> {
 
 impl Run<'_> {
     /// One counted request to `node` (see [`FederationReport::rpcs`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+    )]
     fn rpc<T>(
         &mut self,
         node: usize,
@@ -539,6 +547,10 @@ impl Run<'_> {
                 false => Duration::ZERO,
             };
             *self.rpcs.entry("WAIT").or_default() += 1;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+            )]
             let sent = self.nodes[node].post(|c| c.wait_post(job_id, Some(want), timeout));
             if sent.is_err() {
                 lost.insert(node);
@@ -547,6 +559,10 @@ impl Run<'_> {
         }
         let mut replies = Vec::with_capacity(asked.len());
         for (ai, node, sent) in asked {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+            )]
             let reply = match sent {
                 Ok(()) if lost.contains(&node) => continue,
                 Ok(()) => self.nodes[node].rpc(|c| c.wait_reply()),
@@ -577,6 +593,10 @@ impl Run<'_> {
     /// `over capacity` refusal marks the node backpressured until the
     /// server's `retry_after_ms=` hint passes so the next tick prefers
     /// other owners. Returns true when the submission was acked.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place). idle_since is created with one slot per node and never resized; indexed by the same node ids as self.nodes. busy_until is created with one slot per node and never resized; indexed by the same node ids as self.nodes"
+    )]
     fn submit_to(
         &mut self,
         node: usize,
@@ -648,6 +668,10 @@ impl Run<'_> {
     /// job id no longer names our sub-job (a node restarted without its
     /// spool re-issues ids) — nothing from that reply is merged and the
     /// assignment is closed, its remainder re-owned elsewhere.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ai comes from positions()/enumerate() over self.assignments; assignments are deactivated, never removed. node_merged is sized to the node count when the run starts; indices are node ids from the same list"
+    )]
     fn harvest(&mut self, ai: usize) -> Result<bool, String> {
         let (node, job_id) = (self.assignments[ai].node, self.assignments[ai].job_id);
         let have = self.assignments[ai].done.clone();
@@ -688,6 +712,10 @@ impl Run<'_> {
         if self.merged.len() == self.spooled {
             return Ok(());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+        )]
         let ckpt = FederationCheckpoint {
             spec: self.spec.clone(),
             merged: self.merged.clone(),
@@ -718,6 +746,10 @@ impl Run<'_> {
 
     /// Close an assignment whose node died or whose job failed: requeue
     /// everything owned but not merged.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ai comes from positions()/enumerate() over self.assignments; assignments are deactivated, never removed. node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+    )]
     fn close_assignment(&mut self, ai: usize, reason: StealReason) {
         let a = &mut self.assignments[ai];
         a.active = false;
@@ -736,6 +768,10 @@ impl Run<'_> {
     /// sub-job (harvesting new shards), reassign pending work, update
     /// idle clocks, and steal from stragglers. Returns true when
     /// anything moved.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place). ai comes from positions()/enumerate() over self.assignments; assignments are deactivated, never removed. idle_since is created with one slot per node and never resized; indexed by the same node ids as self.nodes"
+    )]
     fn tick(&mut self) -> Result<bool, String> {
         let mut progressed = false;
 
@@ -878,6 +914,10 @@ impl Run<'_> {
 
     /// Living, non-backpressured node with the smallest outstanding
     /// shard count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place). busy_until is created with one slot per node and never resized; indexed by the same node ids as self.nodes"
+    )]
     fn least_loaded_alive(&self) -> Option<usize> {
         let now = Instant::now();
         (0..self.nodes.len())
@@ -896,6 +936,10 @@ impl Run<'_> {
     /// let it quiesce, harvest what finished, and split the remainder
     /// between the thief and the victim. Returns true when a steal
     /// actually moved work.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ai comes from positions()/enumerate() over self.assignments; assignments are deactivated, never removed. node indices come from enumerate() over self.nodes or from assignments recorded at submit; the node list never shrinks (dead nodes are quarantined in place)"
+    )]
     fn steal_for(&mut self, thief: usize) -> bool {
         // victim: the active assignment with the most unscanned shards
         // (at least 2 — a single straggling shard is likely mid-scan and

@@ -63,6 +63,13 @@
 //! [`ShardSet`]: epi_core::shard::ShardSet
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type
+)]
 
 pub mod chaos;
 pub mod checkpoint;

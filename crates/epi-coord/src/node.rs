@@ -202,6 +202,10 @@ impl NodeHandle {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the connect branch just above fills self.client or returns Err"
+        )]
         let client = self.client.as_mut().expect("connected above");
         match op(client) {
             Ok(v) => {

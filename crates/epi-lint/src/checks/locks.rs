@@ -1,14 +1,10 @@
 //! Lock discipline.
 //!
-//! * `LOCK-RAW-UNWRAP` — raw `.lock().unwrap()` / `.lock().expect(…)`
-//!   turns a poisoned mutex into a permanent crash loop. The engine and
-//!   coordinator recover from poisoning through one designated helper
-//!   (`lock()` → `unwrap_or_else(PoisonError::into_inner)`); every other
-//!   acquisition must go through it.
-//! * `LOCK-ORDER` — two mutexes acquired in opposite orders in two
-//!   functions is a deadlock waiting for the right interleaving; the
-//!   check derives per-function acquisition spans and reports inverted
-//!   pairs and re-acquisition of a mutex already held.
+//! `LOCK-ORDER` — two mutexes acquired in opposite orders in two
+//! functions is a deadlock waiting for the right interleaving; the check
+//! derives per-function acquisition spans and reports inverted pairs and
+//! re-acquisition of a mutex already held. (A raw `.lock().unwrap()` is
+//! clippy's `unwrap_used` in the service crates.)
 
 use super::{finding, punct2, receiver_last_ident, Tree};
 use crate::lexer::Kind;
@@ -17,36 +13,7 @@ use crate::Finding;
 use std::collections::BTreeMap;
 
 pub fn run(tree: &Tree, out: &mut Vec<Finding>) {
-    for f in &tree.files {
-        raw_unwrap(f, out);
-    }
     lock_order(tree, out);
-}
-
-// ---------------------------------------------------------- raw unwrap
-
-fn raw_unwrap(f: &SourceFile, out: &mut Vec<Finding>) {
-    for (i, t) in f.sig.iter().enumerate() {
-        // `. lock ( ) . unwrap|expect`
-        if t.kind != Kind::Punct || f.tok_text(*t) != "." {
-            continue;
-        }
-        if f.is_ident(i + 1, "lock")
-            && f.is_punct(i + 2, '(')
-            && f.is_punct(i + 3, ')')
-            && f.is_punct(i + 4, '.')
-            && (f.is_ident(i + 5, "unwrap") || f.is_ident(i + 5, "expect"))
-        {
-            out.push(finding(
-                f,
-                t.start,
-                "LOCK-RAW-UNWRAP",
-                "raw `.lock().unwrap()`; use the poisoning-recovery helper so a panicked \
-                 worker cannot wedge every later request"
-                    .to_string(),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------- lock order

@@ -1,9 +1,7 @@
 //! The check suite. Each submodule exposes `run(&Tree, &mut Vec<Finding>)`
 //! and is individually nameable via `epi3 lint --check <name>`.
 
-pub mod determinism;
 pub mod locks;
-pub mod panics;
 pub mod protocol;
 pub mod unsafe_simd;
 
@@ -30,29 +28,15 @@ pub type Check = (&'static str, &'static str, fn(&Tree, &mut Vec<Finding>));
 /// Registry of nameable checks, in report order.
 pub const CHECKS: &[Check] = &[
     (
-        "determinism",
-        "DET-HASH-ITER, DET-TIME, DET-FLOAT-FMT: nondeterminism feeding merge/codec paths",
-        determinism::run,
-    ),
-    (
         "unsafe-simd",
-        "UNSAFE-NO-SAFETY, UNSAFE-FORBID, SIMD-TF-DISPATCH, SIMD-NONX86-ASSERT: unsafe/SIMD hygiene",
+        "SIMD-TF-DISPATCH: target_feature kernels behind a matching SimdLevel arm",
         unsafe_simd::run,
     ),
-    (
-        "locks",
-        "LOCK-RAW-UNWRAP, LOCK-ORDER: poisoning recovery and lock-order discipline",
-        locks::run,
-    ),
+    ("locks", "LOCK-ORDER: lock-order discipline", locks::run),
     (
         "protocol",
         "PROTO-VERB, PROTO-KEY, PROTO-RECORD: wire protocol client/server/README conformance",
         protocol::run,
-    ),
-    (
-        "panics",
-        "PANIC-UNWRAP, PANIC-EXPECT, PANIC-PANIC, PANIC-INDEX: request-path panic inventory",
-        panics::run,
     ),
 ];
 
@@ -65,7 +49,6 @@ pub fn finding(f: &SourceFile, byte: usize, check: &str, message: String) -> Fin
         line,
         message,
         excerpt: f.line_text(line).trim_start().to_string(),
-        justification: None,
     }
 }
 

@@ -84,7 +84,6 @@ fn report_diffs(sets: &[(&str, &Sites)], check: &str, what: &str, out: &mut Vec<
             line,
             message: format!("{what} `{item}` missing from {}", missing.join(", ")),
             excerpt: item.clone(),
-            justification: None,
         });
     }
 }

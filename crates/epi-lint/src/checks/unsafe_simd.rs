@@ -1,22 +1,12 @@
 //! Unsafe/SIMD hygiene.
 //!
-//! * `UNSAFE-NO-SAFETY` — every `unsafe fn` / `unsafe {}` / `unsafe impl`
-//!   must carry a `// SAFETY:` comment on the same line or immediately
-//!   above it (attribute lines may sit between). The SIMD kernels are
-//!   the only unsafe in the tree and every contract (alignment, feature
-//!   availability, in-bounds lanes) must be written down.
-//! * `UNSAFE-FORBID` — every crate root except `epi-core` must carry
-//!   `#![forbid(unsafe_code)]` (the core carries `#![deny(unsafe_code)]`
-//!   with a module-scoped allow), so the unsafe audit surface is
-//!   provably just the SIMD module.
-//! * `SIMD-TF-DISPATCH` — a `#[target_feature(enable = …)]` fn may only
-//!   be called from a fn whose own target features imply the callee's,
-//!   or from a `match level { SimdLevel::X => … }` arm whose runtime-
-//!   detected level guarantees those features. Anything else is UB on
-//!   the wrong CPU.
-//! * `SIMD-NONX86-ASSERT` — wildcard / non-x86 `SimdLevel` arms must
-//!   `debug_assert!` so a mis-detected level is loud in debug builds
-//!   instead of silently taking the scalar path.
+//! `SIMD-TF-DISPATCH` — a `#[target_feature(enable = …)]` fn may only be
+//! called from a fn whose own target features imply the callee's, or
+//! from a `match level { SimdLevel::X => … }` arm whose runtime-detected
+//! level guarantees those features. Anything else is UB on the wrong
+//! CPU. rustc enforces the first half (a call without the features needs
+//! `unsafe`), but a dispatch arm needs `unsafe` whatever it calls, so the
+//! arm half stays here.
 
 use super::{finding, punct2, Tree};
 use crate::lexer::Kind;
@@ -27,78 +17,7 @@ use std::collections::BTreeMap;
 pub fn run(tree: &Tree, out: &mut Vec<Finding>) {
     let tf_fns = collect_target_feature_fns(tree);
     for f in &tree.files {
-        unsafe_needs_safety(f, out);
         tf_dispatch(f, &tf_fns, out);
-        nonx86_asserts(f, out);
-        if f.path.ends_with("src/lib.rs") {
-            forbid_unsafe(f, out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------- SAFETY
-
-fn unsafe_needs_safety(f: &SourceFile, out: &mut Vec<Finding>) {
-    for t in &f.sig {
-        if t.kind != Kind::Ident || f.tok_text(*t) != "unsafe" {
-            continue;
-        }
-        if !has_safety_comment(f, t.start) {
-            out.push(finding(
-                f,
-                t.start,
-                "UNSAFE-NO-SAFETY",
-                "`unsafe` without a `// SAFETY:` comment on this line or immediately above"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// `// SAFETY:` on the `unsafe` token's own line, or in the unbroken run
-/// of comment-only / attribute-only lines directly above it. A blank
-/// line or a code line ends the run.
-fn has_safety_comment(f: &SourceFile, byte: usize) -> bool {
-    let line = f.lx.line_of(byte);
-    if f.line_text(line).contains("SAFETY") {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        let text = f.line_text(l).trim();
-        if text.is_empty() {
-            return false;
-        }
-        let (s, e) = f.lx.line_span(l);
-        let mask_line = f.lx.mask[s..e.min(f.lx.mask.len())].trim();
-        let comment_only = mask_line.is_empty(); // all tokens blanked ⇒ comments
-        let attr_only = text.starts_with('#') || text == "]" || text.starts_with(")]");
-        if comment_only {
-            if text.contains("SAFETY") {
-                return true;
-            }
-        } else if !attr_only {
-            return false;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------- forbid
-
-fn forbid_unsafe(f: &SourceFile, out: &mut Vec<Finding>) {
-    let has_gate =
-        f.lx.mask.contains("forbid(unsafe_code)") || f.lx.mask.contains("deny(unsafe_code)");
-    if !has_gate {
-        out.push(finding(
-            f,
-            0,
-            "UNSAFE-FORBID",
-            "crate root lacks `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]` for the \
-             SIMD core); the unsafe audit surface must be explicit"
-                .to_string(),
-        ));
     }
 }
 
@@ -225,164 +144,4 @@ fn nearest_arm_features(f: &SourceFile, body_start: usize, until: usize) -> Opti
         }
     }
     current
-}
-
-// ------------------------------------------------------------ non-x86
-
-fn nonx86_asserts(f: &SourceFile, out: &mut Vec<Finding>) {
-    wildcard_arms_in_simd_matches(f, out);
-    cfg_not_x86_arms(f, out);
-}
-
-/// `_ =>` arms inside a `match` whose span mentions `SimdLevel` must
-/// `debug_assert`.
-fn wildcard_arms_in_simd_matches(f: &SourceFile, out: &mut Vec<Finding>) {
-    for (i, t) in f.sig.iter().enumerate() {
-        if t.kind != Kind::Ident || f.tok_text(*t) != "match" {
-            continue;
-        }
-        // first `{` after the scrutinee
-        let mut open = None;
-        for j in i + 1..f.sig.len() {
-            if f.is_punct(j, '{') {
-                open = Some(j);
-                break;
-            }
-            if f.is_punct(j, ';') {
-                break;
-            }
-        }
-        let Some(open) = open else { continue };
-        let Some(close) = f.match_brace(open) else {
-            continue;
-        };
-        // arms at depth 1: (pattern start, `=>` index). The match is a
-        // SimdLevel dispatch only when some arm *pattern* names
-        // SimdLevel — arm bodies that merely return a level (e.g.
-        // `match version { …, _ => SimdLevel::Scalar }`) don't count.
-        let mut arms: Vec<(usize, usize)> = Vec::new();
-        let mut depth = 0i64;
-        let mut pattern_start = open + 1;
-        for j in open..close {
-            if f.sig[j].kind == Kind::Punct {
-                match f.tok_text(f.sig[j]) {
-                    "{" | "(" | "[" => {
-                        depth += 1;
-                        if depth == 2 && j > open {
-                            // entering an arm body block; the next
-                            // pattern starts after it closes
-                            if let Some(body_close) = f.match_brace(j) {
-                                if arms.last().is_some_and(|&(_, a)| a < j) {
-                                    pattern_start = body_close + 1;
-                                }
-                            }
-                        }
-                    }
-                    "}" | ")" | "]" => depth -= 1,
-                    "," if depth == 1 => pattern_start = j + 1,
-                    _ => {}
-                }
-            }
-            if depth == 1 && punct2(f, j, '=', '>') {
-                arms.push((pattern_start, j));
-            }
-        }
-        let is_simd_match = arms.iter().any(|&(s, a)| {
-            (s..a).any(|j| f.sig[j].kind == Kind::Ident && f.tok_text(f.sig[j]) == "SimdLevel")
-        });
-        if !is_simd_match {
-            continue;
-        }
-        for &(s, a) in &arms {
-            let wildcard = a == s + 1 && f.is_ident(s, "_");
-            if !wildcard {
-                continue;
-            }
-            let body = arm_body_text(f, a + 2, close);
-            if !body.contains("debug_assert") {
-                out.push(finding(
-                    f,
-                    f.sig[s].start,
-                    "SIMD-NONX86-ASSERT",
-                    "wildcard arm in a SimdLevel match without a debug_assert; a \
-                     mis-detected level must be loud in debug builds"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
-/// Arms annotated `#[cfg(not(target_arch = …))]` on a SimdLevel pattern
-/// must `debug_assert`.
-fn cfg_not_x86_arms(f: &SourceFile, out: &mut Vec<Finding>) {
-    let needle = "cfg(not(target_arch";
-    let mut from = 0usize;
-    while let Some(off) = f.lx.mask[from..].find(needle) {
-        let at = from + off;
-        from = at + needle.len();
-        // the arm's `=>`: first adjacent `=` `>` pair after the attribute
-        let mut arrow = None;
-        for (i, t) in f.sig.iter().enumerate() {
-            if t.start <= at {
-                continue;
-            }
-            if t.kind == Kind::Ident && f.tok_text(*t) == "fn" {
-                break; // attribute was on an item, not a match arm
-            }
-            if punct2(f, i, '=', '>') {
-                arrow = Some(i);
-                break;
-            }
-        }
-        let Some(arrow) = arrow else { continue };
-        let pattern = &f.text[at..f.sig[arrow].start];
-        if !pattern.contains("SimdLevel") {
-            continue;
-        }
-        let body = arm_body_text(f, arrow + 2, f.sig.len() - 1);
-        if !body.contains("debug_assert") {
-            out.push(finding(
-                f,
-                at,
-                "SIMD-NONX86-ASSERT",
-                "non-x86 SimdLevel arm without a debug_assert; a vector level on an \
-                 architecture without the kernels must be loud in debug builds"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Text of a match-arm body starting at sig index `start`: a block's
-/// brace span, or the expression up to the first `,` at depth 0 (bounded
-/// by `limit`).
-fn arm_body_text(f: &SourceFile, start: usize, limit: usize) -> &str {
-    let Some(first) = f.sig.get(start) else {
-        return "";
-    };
-    if f.is_punct(start, '{') {
-        if let Some(close) = f.match_brace(start) {
-            return &f.text[first.start..f.sig[close].end];
-        }
-    }
-    let mut depth = 0i64;
-    for j in start..=limit.min(f.sig.len() - 1) {
-        if f.sig[j].kind == Kind::Punct {
-            match f.tok_text(f.sig[j]) {
-                "{" | "(" | "[" => depth += 1,
-                "}" | ")" | "]" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return &f.text[first.start..f.sig[j].start];
-                    }
-                }
-                "," if depth == 0 => {
-                    return &f.text[first.start..f.sig[j].start];
-                }
-                _ => {}
-            }
-        }
-    }
-    &f.text[first.start..]
 }

@@ -6,17 +6,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: epi-lint [--root DIR] [--allowlist FILE] [--check NAME]... [--json] [--list]
+const USAGE: &str = "usage: epi-lint [--root DIR] [--check NAME]... [--json] [--list]
 
-Runs the workspace static-analysis checks. Exits non-zero when any
-non-allowlisted finding remains.
+Runs the workspace static-analysis checks that clippy cannot replace.
+Exits non-zero when any finding remains.
 
-  --root DIR        repo root to lint (default: .)
-  --allowlist FILE  allowlist path (default: <root>/epi-lint.allow)
-  --check NAME      run only this named check (repeatable; see --list)
-  --json            machine-readable output
-  --list            list the nameable checks and their IDs
+  --root DIR    repo root to lint (default: .)
+  --check NAME  run only this named check (repeatable; see --list)
+  --json        machine-readable output
+  --list        list the nameable checks and their IDs
 ";
 
 fn main() -> ExitCode {
@@ -37,16 +35,12 @@ fn main() -> ExitCode {
 
 fn run(args: Vec<String>) -> Result<bool, String> {
     let mut root = PathBuf::from(".");
-    let mut allow: Option<PathBuf> = None;
     let mut only: Vec<String> = Vec::new();
     let mut json = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--allowlist" => {
-                allow = Some(PathBuf::from(it.next().ok_or("--allowlist needs a value")?))
-            }
             "--check" => only.push(it.next().ok_or("--check needs a value")?),
             "--json" => json = true,
             "--list" => {
@@ -72,8 +66,7 @@ fn run(args: Vec<String>) -> Result<bool, String> {
             ));
         }
     }
-    let allow = allow.unwrap_or_else(|| root.join("epi-lint.allow"));
-    let report = epi_lint::run_lint(&root, &allow, &only)?;
+    let report = epi_lint::run_lint(&root, &only)?;
     if json {
         println!("{}", report.to_json());
     } else {

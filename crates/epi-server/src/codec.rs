@@ -26,6 +26,8 @@
 //! end
 //! ```
 
+#![warn(clippy::disallowed_methods)]
+
 use crate::job::{Job, JobState};
 use crate::spec::JobSpec;
 use epi_core::result::Candidate;
@@ -222,10 +224,15 @@ impl Checkpoint {
                     triple: (a, b, c),
                 });
             }
-            if shard_results[idx].is_some() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx is range-checked against the shard count a few lines above and rejected with a protocol error first"
+            )]
+            let slot = &mut shard_results[idx];
+            if slot.is_some() {
                 return Err(format!("duplicate shard record {idx}"));
             }
-            shard_results[idx] = Some(cands);
+            *slot = Some(cands);
         }
         Ok(Self {
             job_id,
@@ -293,8 +300,10 @@ mod tests {
         // formatting cannot represent at all: NaNs (including distinct
         // payload bits, which `==` can never check — NaN != NaN), both
         // infinities, and the two zeros (-0.0 == 0.0 yet differs in
-        // sign bit). Compare raw bits, not values.
-        let scores = [
+        // sign bit). Compare raw bits, not values. After the fixed
+        // specials, a few thousand seeded bit patterns: every exponent
+        // class, NaN payloads and subnormals included.
+        let specials = [
             f64::NAN,
             -f64::NAN,
             f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN, nonzero payload
@@ -305,6 +314,10 @@ mod tests {
             0.0,
             f64::MIN_POSITIVE / 2.0, // subnormal, while we're at it
         ];
+        let scores: Vec<f64> = specials
+            .into_iter()
+            .chain((0..4096).map(|i| f64::from_bits(crate::spool::seeded_roll(0xf10a7, i))))
+            .collect();
         let cands: Vec<Candidate> = scores
             .iter()
             .enumerate()

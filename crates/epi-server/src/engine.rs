@@ -39,6 +39,8 @@
 //! through the injectable [`SpoolFs`] layer so the recovery suite can
 //! prove disk faults mid-checkpoint never corrupt job state.
 
+#![warn(clippy::disallowed_methods)]
+
 use crate::codec::Checkpoint;
 use crate::job::{EncodedData, Job, JobState, JobStatus, DEFAULT_TENANT};
 use crate::queue::DispatchQueue;
@@ -440,6 +442,10 @@ impl Engine {
         let st = &mut *state;
         let actual = data.resident_bytes().saturating_add(scratch_bytes(&spec));
         st.mem_used = st.mem_used.saturating_sub(est).saturating_add(actual);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission/resume stamp the job's deadline window; expiry flips lifecycle state only, never a completed shard's score bits"
+        )]
         let deadline = spec
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -462,6 +468,10 @@ impl Engine {
         if job.plan.total_combos() == 0 {
             // Degenerate dataset (M < 3): complete immediately with the
             // empty result rather than scheduling no-op shards.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard ids are validated against the job plan at submit/partial admission before any worker touches them"
+            )]
             for &shard in &owned {
                 job.shard_results[shard as usize] = Some(Vec::new());
             }
@@ -572,6 +582,10 @@ impl Engine {
     /// Resume a cancelled (or failed-at-restore) job from its checkpoint:
     /// reloads the dataset if needed and re-enqueues only the missing
     /// shards.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "admission/resume stamp the job's deadline window; expiry flips lifecycle state only, never a completed shard's score bits"
+    )]
     pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err("engine is shutting down".into());
@@ -805,6 +819,10 @@ impl Engine {
         let mut state = lock(&self.shared.state);
         self.shared.sweep_deadlines(&mut state);
         let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "tenant_jobs counts into a BTreeMap, so the emitted order is sorted by tenant name whatever the visit order"
+        )]
         for job in state.jobs.values() {
             if matches!(job.state, JobState::Queued | JobState::Running) {
                 *counts.entry(job.tenant().to_string()).or_insert(0) += 1;
@@ -818,6 +836,10 @@ impl Engine {
     /// seen. Sleeps on the progress condvar, so it wakes on the
     /// transition itself rather than on a poll interval.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<JobStatus, String> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Engine::wait deadline: bounds how long a caller sleeps on the progress condvar, never what the job computes"
+        )]
         let deadline = Instant::now() + timeout;
         let _watch = self.watch_progress();
         let mut state = lock(&self.shared.state);
@@ -828,6 +850,10 @@ impl Engine {
                 .get(&id)
                 .map(Job::status)
                 .ok_or_else(|| format!("no such job {id}"))?;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sweep_deadlines compares against the stamped window (and Engine::wait against its own timeout); results come from completed shards neither ever rewrites"
+            )]
             let now = Instant::now();
             if status.is_stable() || now >= deadline {
                 return Ok(status);
@@ -882,6 +908,10 @@ impl Engine {
             let mut state = lock(&self.shared.state);
             let st = &mut *state;
             st.queue.retain(|_| false);
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "stop() cancels every job independently; per-job effect does not depend on visit order"
+            )]
             for job in st.jobs.values_mut() {
                 if matches!(job.state, JobState::Queued | JobState::Running) {
                     job.state = JobState::Cancelled;
@@ -932,9 +962,17 @@ impl Shared {
     /// checkpointing: shard results were persisted as they landed, and the
     /// checkpoint format does not store the lifecycle state.)
     fn sweep_deadlines(&self, state: &mut EngineState) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sweep_deadlines compares against the stamped window (and Engine::wait against its own timeout); results come from completed shards neither ever rewrites"
+        )]
         let now = Instant::now();
         let st = &mut *state;
         let mut expired = false;
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "sweep_deadlines fails every expired job independently; per-job effect does not depend on visit order"
+        )]
         for job in st.jobs.values_mut() {
             if !matches!(job.state, JobState::Queued | JobState::Running) {
                 continue;
@@ -1037,6 +1075,10 @@ fn log_spool_error(what: &str, job_id: u64, e: &io::Error) {
 /// Queued/Running jobs accounted to `tenant` (concurrent-job quota).
 fn active_tenant_jobs(jobs: &HashMap<u64, Job>, tenant: &str) -> u64 {
     let mut active = 0;
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "active_tenant_jobs sums a commutative per-tenant count; visit order cannot change the total"
+    )]
     for job in jobs.values() {
         if job.tenant() == tenant && matches!(job.state, JobState::Queued | JobState::Running) {
             active += 1;
@@ -1162,6 +1204,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
                                 // extend the claim only through the same
                                 // dispatch lane, so batching cannot leak
                                 // scheduling credit across tenants
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "shards starts as vec![shard] and only grows, so last() is Some"
+                                )]
                                 let next = *shards.last().expect("nonempty") + 1;
                                 if st.queue.pop_next_consecutive((job_id, next)) {
                                     shards.push(next);
@@ -1172,6 +1218,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
                             for &s in &shards {
                                 job.in_flight.insert(s);
                             }
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "submit() stores data before the job can enter Queued; workers only see queued jobs"
+                            )]
                             let data = Arc::clone(job.data.as_ref().expect("queued job has data"));
                             let ranges: Vec<_> =
                                 shards.iter().map(|&s| job.plan.range(s)).collect();
@@ -1200,6 +1250,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
             if shared.shutdown.load(Ordering::SeqCst) {
                 let mut state = lock(&shared.state);
                 if let Some(job) = state.jobs.get_mut(&job_id) {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "bi iterates block starts produced from shards.len() itself, so every slice start is in range"
+                    )]
                     for &s in &shards[bi..] {
                         job.in_flight.remove(&s);
                     }
@@ -1214,6 +1268,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
             // consistent and the lock recovery above is a second line of
             // defence, not the plan.
             let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fault injection behind the panic_shard spec key, used by the chaos harness to exercise crash recovery"
+                )]
                 if spec.panic_shard == Some(shard) {
                     panic!("injected fault (panic_shard={shard})");
                 }
@@ -1234,6 +1292,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
                                 flushed: (0, 0),
                             });
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the branch above inserts the cache when it is None; Some is guaranteed here"
+                        )]
                         let pair_cache = &mut cache.as_mut().expect("cache just set").cache;
                         scan_shard_split_cached(ds, &cfg, range, pair_cache)
                     }
@@ -1257,6 +1319,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
                         };
                         // this shard and the unscanned rest of the batch
                         // are no longer in flight
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "bi iterates block starts produced from shards.len() itself, so every slice start is in range"
+                        )]
                         for &s in &shards[bi..] {
                             job.in_flight.remove(&s);
                         }
@@ -1274,6 +1340,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
             };
             // Flush this worker's cache-counter delta so STATS always
             // reflects completed shards pool-wide.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "widx is the worker's own index; pair_stats is allocated with one slot per worker at engine construction"
+            )]
             if let Some(wc) = &mut cache {
                 let (h, m) = (wc.cache.hits(), wc.cache.misses());
                 shared.pair_stats[widx]
@@ -1298,6 +1368,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
             });
 
             // record the result
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard ids are validated against the job plan at submit/partial admission before any worker touches them"
+            )]
             let (finished, abandon) = {
                 let mut state = lock(&shared.state);
                 let st = &mut *state;
@@ -1323,6 +1397,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
                 // and stop after the shard that was actually mid-scan.
                 let abandon = matches!(job.state, JobState::Cancelled | JobState::Failed);
                 if abandon {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "bi iterates block starts produced from shards.len() itself, so every slice start is in range"
+                    )]
                     for &s in &shards[bi + 1..] {
                         job.in_flight.remove(&s);
                     }
@@ -1366,6 +1444,10 @@ fn worker_loop(shared: &Shared, widx: usize) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test-side timers bound how long a test polls; no result or checkpoint reads them"
+)]
 mod tests {
     use super::*;
     use crate::spool::FaultySpoolFs;

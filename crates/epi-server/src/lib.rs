@@ -143,6 +143,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type
+)]
 
 pub mod client;
 pub mod codec;

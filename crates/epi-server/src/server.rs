@@ -147,6 +147,10 @@ impl Server {
     }
 
     /// The bound address (useful with ephemeral ports).
+    #[expect(
+        clippy::expect_used,
+        reason = "local_addr() on a freshly bound TcpListener cannot fail; startup path, not a request"
+    )]
     pub fn local_addr(&self) -> SocketAddr {
         self.listener
             .local_addr()

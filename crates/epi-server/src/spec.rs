@@ -285,6 +285,10 @@ impl JobSpec {
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for &b in s.as_bytes() {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "argument is a nibble (< 16), and from_digit with radix 16 is Some for all values < 16"
+        )]
         if b == b'%' || b >= 0x80 || b.is_ascii_whitespace() || b.is_ascii_control() {
             out.push('%');
             out.push(char::from_digit((b >> 4) as u32, 16).unwrap());
@@ -302,6 +306,10 @@ pub fn unescape(s: &str) -> Result<String, String> {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i < bytes.len() is the loop condition of the percent-decoder"
+        )]
         if bytes[i] == b'%' {
             let hex = bytes
                 .get(i + 1..i + 3)

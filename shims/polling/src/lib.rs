@@ -3,9 +3,9 @@
 //!
 //! The build environment has no registry access, so this crate wraps the
 //! `poll(2)` syscall (already linked through std's libc) behind the same
-//! `Poller`/`Event` names the real crate exports. Two deliberate
-//! divergences, both in the direction the `epi-server` readiness loop
-//! wants:
+//! `Poller`/`Event` names the real crate exports. Unix only, like its one
+//! user, `epi-server`. Two deliberate divergences, both in the direction
+//! the `epi-server` readiness loop wants:
 //!
 //! * **level-triggered**, not oneshot: an interest stays armed until
 //!   [`Poller::modify`] or [`Poller::delete`] changes it, so a socket
@@ -22,7 +22,6 @@
 use std::io;
 use std::time::Duration;
 
-#[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
 
 /// Readiness interest / readiness report for one registered source,
@@ -71,7 +70,6 @@ impl Event {
     }
 }
 
-#[cfg(unix)]
 mod sys {
     // The one unsafe surface of the workspace outside the SIMD core:
     // the `poll(2)` FFI declaration and call. Everything above it is
@@ -113,12 +111,10 @@ mod sys {
 }
 
 /// A `poll(2)`-backed readiness watcher over registered fds.
-#[cfg(unix)]
 pub struct Poller {
     sources: Vec<(RawFd, Event)>,
 }
 
-#[cfg(unix)]
 impl Poller {
     pub fn new() -> io::Result<Self> {
         Ok(Self {
@@ -219,69 +215,7 @@ impl Poller {
     }
 }
 
-/// Non-unix fallback: no `poll(2)`; sleep a beat and report every armed
-/// interest as ready, degrading the readiness loop to a 1 ms busy poll.
-/// Correct (sockets are nonblocking, spurious readiness is retried;
-/// the registry is keyed on the caller's `key`, so add/modify/delete
-/// track slot reuse exactly) but slow — the workspace only targets
-/// unix.
-#[cfg(not(unix))]
-pub struct Poller {
-    sources: Vec<Event>,
-}
-
-#[cfg(not(unix))]
-impl Poller {
-    pub fn new() -> io::Result<Self> {
-        Ok(Self {
-            sources: Vec::new(),
-        })
-    }
-
-    pub fn add<T>(&mut self, _source: &T, interest: Event) -> io::Result<()> {
-        // the registry is keyed on `interest.key` (no fds here): a
-        // re-added key replaces its old entry, so a reused connection
-        // slot cannot leave a duplicate behind for modify()/wait() to
-        // pick the stale half of
-        match self.sources.iter_mut().find(|ev| ev.key == interest.key) {
-            Some(ev) => *ev = interest,
-            None => self.sources.push(interest),
-        }
-        Ok(())
-    }
-
-    pub fn modify<T>(&mut self, _source: &T, interest: Event) -> io::Result<()> {
-        match self.sources.iter_mut().find(|ev| ev.key == interest.key) {
-            Some(ev) => {
-                *ev = interest;
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "key not registered",
-            )),
-        }
-    }
-
-    pub fn delete<T>(&mut self, _source: &T, key: usize) -> io::Result<()> {
-        self.sources.retain(|ev| ev.key != key);
-        Ok(())
-    }
-
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        events.clear();
-        let nap = timeout.unwrap_or(Duration::from_millis(1));
-        std::thread::sleep(nap.min(Duration::from_millis(1)));
-        for ev in &self.sources {
-            if ev.readable || ev.writable {
-                events.push(*ev);
-            }
-        }
-        Ok(events.len())
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

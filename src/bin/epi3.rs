@@ -50,11 +50,11 @@ commands:
   significance FILE   permutation test [--permutations P] [--seed N]
   summary FILE  dataset quality-control summary
   devices       print the paper's device catalogs (Tables I & II)
-  lint          in-tree static analysis: determinism, unsafe/SIMD
-                hygiene, lock discipline, wire-protocol conformance,
-                panic-path audit (see README \"Static analysis\")
-                  [--root DIR] [--allowlist FILE] [--check NAME]...
-                  [--json] [--list]  (exit 1 on non-allowlisted findings)
+  lint          in-tree static analysis clippy cannot do: SIMD
+                dispatch arms, lock order, wire-protocol conformance
+                (see README \"Static analysis\")
+                  [--root DIR] [--check NAME]... [--json] [--list]
+                  (exit 1 on any finding)
 
 job service (line-delimited TCP, see epi_server crate docs):
   serve         run the scan-job server (blocks until SHUTDOWN)
@@ -172,10 +172,6 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let root = std::path::PathBuf::from(opt_value(args, "--root").unwrap_or("."));
-    let allow = match opt_value(args, "--allowlist") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => root.join("epi-lint.allow"),
-    };
     let mut only = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -191,7 +187,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    let report = epi_lint::run_lint(&root, &allow, &only)?;
+    let report = epi_lint::run_lint(&root, &only)?;
     if opt_flag(args, "--json") {
         println!("{}", report.to_json());
     } else {
